@@ -3,16 +3,18 @@
 //! This is the per-OS "adaptation" of the paper's §4.6 — the ~50 lines
 //! that add system initialisation and boot-check logic to the agent. The
 //! [`agent_loader`] closure is installed as the machine's firmware
-//! loader: on every reset it re-reads the kernel partition, validates
-//! the image (corruption ⇒ boot failure) and instantiates the right
-//! kernel model with the instrumentation state the image was built with.
+//! loader: on every reset it reads the kernel partition in place,
+//! validates the image (corruption ⇒ boot failure) and instantiates the
+//! right kernel model with the instrumentation state the image was built
+//! with. The checksum verdict is memoized per flash generation, so only
+//! a flash that changed since the last boot is hashed again.
 
 use crate::firmware::AgentFirmware;
 use crate::layout::AgentLayout;
 use eof_coverage::InstrumentMode;
 use eof_hal::{BoardSpec, Endianness, FirmwareLoader, Machine};
 use eof_rtos::ctx::CovState;
-use eof_rtos::image::parse_image;
+use eof_rtos::image::parse_image_with;
 use eof_rtos::kernel::OsKind;
 use eof_rtos::registry::make_kernel;
 use eof_speclang::wire::{ApiBinding, ApiTable, WireOrder};
@@ -37,8 +39,9 @@ pub fn api_table_of(os: OsKind) -> ApiTable {
 /// partition.
 pub fn agent_loader() -> FirmwareLoader {
     Box::new(|flash, board| {
-        let image = flash.read_partition("kernel")?;
-        let info = parse_image(&image)?;
+        let part = flash.table().get("kernel")?;
+        let image = flash.slice(part.offset, part.size as usize)?;
+        let info = parse_image_with(image, |len| flash.checksum(part.offset, len))?;
         let layout = AgentLayout::for_board(board);
         let cov = match &info.mode {
             InstrumentMode::None => CovState::uninstrumented(),
@@ -107,6 +110,40 @@ mod tests {
         m.reflash_partition("kernel", &image).unwrap();
         m.reset();
         assert_eq!(*m.state(), BootState::Running);
+    }
+
+    #[test]
+    fn image_verdict_is_recomputed_after_any_flash_mutation() {
+        let mut m = boot_machine(
+            BoardCatalog::qemu_virt_arm(),
+            OsKind::Zephyr,
+            ImageProfile::FullSystem,
+            &InstrumentMode::None,
+        );
+        // Warm memo: re-verifying the booted image hashes nothing.
+        let warm = m.flash().checksum_passes();
+        m.check_boot_image().unwrap();
+        m.debug_restore_core().unwrap();
+        assert_eq!(m.flash().checksum_passes(), warm);
+        let snap = m.capture_snapshot().unwrap();
+
+        let off = m.flash().table().get("kernel").unwrap().offset + 4096;
+        m.flash_mut().flip_bit(off, 2).unwrap();
+        assert!(m.check_boot_image().is_err());
+        assert!(m.debug_restore_core().is_err());
+        assert!(m.restore_snapshot(&snap).is_err());
+        m.reset();
+        assert!(matches!(m.state(), BootState::Dead(_)));
+
+        // Undo the flip: the bytes equal the ones verified before, but
+        // the generation moved twice, so booting takes a fresh pass.
+        m.flash_mut().flip_bit(off, 2).unwrap();
+        let passes = m.flash().checksum_passes();
+        m.check_boot_image().unwrap();
+        assert_eq!(m.flash().checksum_passes(), passes + 1);
+        m.reset();
+        assert_eq!(*m.state(), BootState::Running);
+        assert_eq!(m.flash().checksum_passes(), passes + 1);
     }
 
     #[test]

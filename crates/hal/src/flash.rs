@@ -10,6 +10,7 @@
 //! and corruption, the failure mode that makes a plain reboot insufficient.
 
 use crate::error::HalError;
+use std::sync::Mutex;
 
 /// Erased state of a NOR flash byte.
 pub const ERASED: u8 = 0xff;
@@ -121,6 +122,42 @@ pub struct Flash {
     /// records this counter at capture; a mismatch at restore time means
     /// flash changed underneath the snapshot and it cannot be trusted.
     generation: u64,
+    /// Checksums already computed at the current generation.
+    memo: ChecksumMemo,
+}
+
+/// Memo of [`Flash::checksum`] results, keyed on `(generation, offset,
+/// len)`. Every mutation bumps the generation, so an entry can only be
+/// answered for exactly the bytes it was computed over; a stale
+/// generation empties the memo on the next query. Behind a mutex so
+/// `checksum` stays `&self` and `Flash` stays `Sync`.
+#[derive(Debug, Default)]
+struct ChecksumMemo(Mutex<MemoEntries>);
+
+#[derive(Debug, Clone, Default)]
+struct MemoEntries {
+    generation: u64,
+    /// `(offset, len, checksum)` computed at `generation`.
+    sums: Vec<(u32, usize, u64)>,
+    /// Full hashing passes performed (memo misses).
+    passes: u64,
+}
+
+/// Distinct ranges kept per generation. Boot validation asks for one
+/// range; verify passes add one per partition.
+const MEMO_RANGES: usize = 8;
+
+impl Clone for ChecksumMemo {
+    fn clone(&self) -> Self {
+        ChecksumMemo(Mutex::new(self.entries().clone()))
+    }
+}
+
+impl ChecksumMemo {
+    fn entries(&self) -> std::sync::MutexGuard<'_, MemoEntries> {
+        // The memo holds no invariant a panicking holder could break.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 impl Flash {
@@ -131,6 +168,7 @@ impl Flash {
             table,
             program_ops: 0,
             generation: 0,
+            memo: ChecksumMemo::default(),
         }
     }
 
@@ -246,9 +284,33 @@ impl Flash {
     }
 
     /// FNV-1a checksum of a region, used by boot-time image validation.
+    /// Memoized per generation: the first query of a range after any
+    /// mutation hashes the bytes, later queries of the same range at
+    /// the same generation return that verdict without re-reading them.
     pub fn checksum(&self, offset: u32, len: usize) -> Result<u64, HalError> {
         let off = self.check(offset, len)?;
-        Ok(fnv1a(&self.bytes[off..off + len]))
+        let mut memo = self.memo.entries();
+        if memo.generation != self.generation {
+            memo.generation = self.generation;
+            memo.sums.clear();
+        }
+        if let Some(&(_, _, sum)) = memo.sums.iter().find(|e| (e.0, e.1) == (offset, len)) {
+            return Ok(sum);
+        }
+        let sum = fnv1a(&self.bytes[off..off + len]);
+        if memo.sums.len() == MEMO_RANGES {
+            memo.sums.remove(0);
+        }
+        memo.sums.push((offset, len, sum));
+        memo.passes += 1;
+        Ok(sum)
+    }
+
+    /// Hashing passes [`Flash::checksum`] has actually performed, i.e.
+    /// queries the memo could not answer. Host-side statistic, like
+    /// [`Flash::program_ops`].
+    pub fn checksum_passes(&self) -> u64 {
+        self.memo.entries().passes
     }
 
     /// Per-sector checksums of a region, chunked at [`SECTOR_SIZE`]. The
@@ -394,6 +456,28 @@ mod tests {
         let _ = f.checksum(0x1000, 0x100).unwrap();
         let _ = f.slice(0x1000, 8).unwrap();
         assert_eq!(f.generation(), 3);
+    }
+
+    #[test]
+    fn checksum_hashes_once_per_generation_and_range() {
+        let mut f = Flash::new(0x10_0000, table());
+        f.flash_partition("kernel", b"kernel-image").unwrap();
+        let cs = f.checksum(0x1000, 0x8000).unwrap();
+        assert_eq!(f.checksum(0x1000, 0x8000).unwrap(), cs);
+        assert_eq!(f.checksum_passes(), 1);
+        // Another range is its own entry.
+        f.checksum(0x1000, 12).unwrap();
+        assert_eq!(f.checksum_passes(), 2);
+        // A mutation and its exact undo restore the bytes but not the
+        // generation: the verdict is recomputed, not served from memo.
+        f.flip_bit(0x1004, 3).unwrap();
+        f.flip_bit(0x1004, 3).unwrap();
+        assert_eq!(f.checksum(0x1000, 0x8000).unwrap(), cs);
+        assert_eq!(f.checksum_passes(), 3);
+        // A clone carries the memo of the bytes it copied.
+        let g = f.clone();
+        assert_eq!(g.checksum(0x1000, 0x8000).unwrap(), cs);
+        assert_eq!(g.checksum_passes(), 3);
     }
 
     #[test]

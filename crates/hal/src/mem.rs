@@ -22,8 +22,11 @@ pub struct Ram {
     base: u32,
     bytes: Vec<u8>,
     /// One bit per [`PAGE_SIZE`] page, set on every mutation since the
-    /// last [`Ram::clear_dirty`]. Snapshot captures and restores clear
-    /// it so a delta restore touches only pages written in between.
+    /// last [`Ram::clear_dirty`]. Snapshot captures (and power-on
+    /// resets) clear it; restores do not — writing a page back from the
+    /// snapshot marks it dirty again — so between two captures the set
+    /// only grows, and each delta restore ships every page written since
+    /// the capture, not just since the previous restore.
     dirty: Vec<u64>,
 }
 
@@ -185,7 +188,8 @@ impl Ram {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Clear the dirty bitmap (done by snapshot capture and restore).
+    /// Clear the dirty bitmap (done by snapshot capture and power-on
+    /// reset; a restore leaves it set).
     pub fn clear_dirty(&mut self) {
         self.dirty.fill(0);
     }

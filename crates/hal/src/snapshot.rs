@@ -5,8 +5,11 @@
 //! RAM image, the core registers (PC), and the flash *generation
 //! counter* at capture time. RAM carries a dirty-page bitmap
 //! ([`crate::mem::Ram`]), cleared at capture, so a later restore only
-//! has to ship the pages written in between — the TSFFS-style "the
-//! fastest restore is the one that never reboots" fast path.
+//! has to ship the pages written since that capture — the TSFFS-style
+//! "the fastest restore is the one that never reboots" fast path. A
+//! restore does not clear the bitmap (writing the pages back re-marks
+//! them), so the delta is cumulative over every restore to the same
+//! capture.
 //!
 //! The generation counter is the suspicion rule: flash mutations
 //! (reflash, injected bit flips) bump it, and a snapshot whose recorded

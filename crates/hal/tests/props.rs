@@ -78,6 +78,46 @@ proptest! {
     }
 
     #[test]
+    fn memoized_checksum_always_matches_the_bytes(
+        ops in proptest::collection::vec(flash_op(), 1..48),
+        clone_at in 0usize..48
+    ) {
+        let table = PartitionTable::new(
+            vec![Partition::new("kernel", 0x100, 0x400)],
+            0x1000,
+        ).unwrap();
+        let mut flash = Flash::new(0x1000, table);
+        let mut twin = None;
+        for (i, op) in ops.iter().enumerate() {
+            if i == clone_at {
+                twin = Some(flash.clone());
+            }
+            // Refused operations (NOR program over unerased bytes) are
+            // part of the sequence too.
+            let _ = match op {
+                FlashOp::Erase(off, len) => flash.erase(*off, *len),
+                FlashOp::Program(off, data) => flash.program(*off, data),
+                FlashOp::Reprogram(off, data) => flash.reprogram(*off, data),
+                FlashOp::FlipBit(off, bit) => flash.flip_bit(*off, *bit),
+                FlashOp::FlashPartition(data) => flash.flash_partition("kernel", data),
+                FlashOp::Checksum(off, len) => flash.checksum(*off, *len).map(|_| ()),
+            };
+            for f in std::iter::once(&flash).chain(twin.as_ref()) {
+                for (off, len) in checked_ranges(op) {
+                    prop_assert_eq!(
+                        f.checksum(off, len).unwrap(),
+                        fnv1a(f.slice(off, len).unwrap())
+                    );
+                }
+            }
+            if let Some(t) = twin.as_mut() {
+                // The clone lives on and mutates independently.
+                t.flip_bit(0x100 + (i as u32 * 37) % 0x400, (i % 8) as u8).unwrap();
+            }
+        }
+    }
+
+    #[test]
     fn overlapping_partitions_always_rejected(
         a_off in 0u32..100, a_size in 1u32..100,
         b_delta in 0u32..50, b_size in 1u32..100
@@ -101,4 +141,47 @@ proptest! {
         mutated[idx] ^= 0x01;
         prop_assert_ne!(fnv1a(&data), fnv1a(&mutated));
     }
+}
+
+#[derive(Debug, Clone)]
+enum FlashOp {
+    Erase(u32, usize),
+    Program(u32, Vec<u8>),
+    Reprogram(u32, Vec<u8>),
+    FlipBit(u32, u8),
+    FlashPartition(Vec<u8>),
+    Checksum(u32, usize),
+}
+
+/// A region of the 4 KiB test flash, drawn from a few overlapping
+/// offsets and lengths so queries repeat often enough to hit the memo.
+fn region() -> impl Strategy<Value = (u32, usize)> {
+    const OFFSETS: [u32; 4] = [0, 0x100, 0x180, 0x400];
+    const LENS: [usize; 4] = [1, 0x40, 0x100, 0x400];
+    (0usize..4, 0usize..4).prop_map(|(o, l)| (OFFSETS[o], LENS[l]))
+}
+
+fn flash_op() -> impl Strategy<Value = FlashOp> {
+    let data = || proptest::collection::vec(any::<u8>(), 1..0x80);
+    prop_oneof![
+        region().prop_map(|(o, l)| FlashOp::Erase(o, l)),
+        (region(), data()).prop_map(|((o, _), d)| FlashOp::Program(o, d)),
+        (region(), data()).prop_map(|((o, _), d)| FlashOp::Reprogram(o, d)),
+        (0u32..0x1000, 0u8..8).prop_map(|(o, b)| FlashOp::FlipBit(o, b)),
+        data().prop_map(FlashOp::FlashPartition),
+        region().prop_map(|(o, l)| FlashOp::Checksum(o, l)),
+    ]
+}
+
+/// Ranges to cross-check after `op`: a fixed set queried every step
+/// (so warm entries must survive or be invalidated correctly), plus the
+/// op's own region.
+fn checked_ranges(op: &FlashOp) -> Vec<(u32, usize)> {
+    let mut ranges = vec![(0x100, 0x400), (0, 0x1000), (0x180, 0x40)];
+    match op {
+        FlashOp::Erase(o, l) | FlashOp::Checksum(o, l) => ranges.push((*o, *l)),
+        FlashOp::Program(o, d) | FlashOp::Reprogram(o, d) => ranges.push((*o, d.len())),
+        FlashOp::FlipBit(..) | FlashOp::FlashPartition(_) => {}
+    }
+    ranges
 }

@@ -14,6 +14,7 @@ use eof_hal::clock::secs_to_cycles;
 use eof_hal::flash::{fnv1a, sector_checksums_of, ERASED, SECTOR_SIZE};
 use eof_hal::{PartitionTable, Snapshot};
 use eof_telemetry as tel;
+use std::sync::OnceLock;
 
 /// Post-reflash settle delay (Algorithm 1 line 19): a freshly
 /// programmed image gets its first boot time to initialise.
@@ -35,13 +36,9 @@ const FULL_REFLASH_BLOCK_SECTORS: usize = 64;
 pub struct StateRestoration {
     table: PartitionTable,
     images: Vec<(String, Vec<u8>)>,
-    /// Golden checksums of each partition *as flashed* (image padded
-    /// with erased bytes to the partition size).
-    golden: Vec<(String, u64)>,
-    /// Golden per-sector checksums of each partition as flashed,
-    /// parallel to `golden` — the reference the sector-delta repair
-    /// diffs target sectors against.
-    golden_sectors: Vec<Vec<u64>>,
+    /// Golden checksum tables, built on the first verify or reflash:
+    /// most campaigns never climb that far up the ladder.
+    golden: OnceLock<Golden>,
     restorations: u64,
     reflashes: u64,
     vectored: bool,
@@ -56,6 +53,17 @@ pub struct StateRestoration {
     /// same suspicion rule the snapshot uses — so the verify pass can
     /// be skipped outright.
     golden_generation: Option<u64>,
+}
+
+/// Golden checksums of each partition *as flashed* (image padded with
+/// erased bytes to the partition size), parallel to the images.
+#[derive(Debug, Clone)]
+struct Golden {
+    /// Whole-partition checksum.
+    sums: Vec<u64>,
+    /// Per-sector checksums — the reference the sector-delta repair
+    /// diffs target sectors against.
+    sectors: Vec<Vec<u64>>,
 }
 
 impl StateRestoration {
@@ -77,20 +85,10 @@ impl StateRestoration {
                 )));
             }
         }
-        let mut golden = Vec::with_capacity(images.len());
-        let mut golden_sectors = Vec::with_capacity(images.len());
-        for (name, image) in &images {
-            let part = table.get(name).expect("validated above");
-            let mut padded = image.clone();
-            padded.resize(part.size as usize, ERASED);
-            golden.push((name.clone(), fnv1a(&padded)));
-            golden_sectors.push(sector_checksums_of(&padded));
-        }
         Ok(StateRestoration {
             table,
             images,
-            golden,
-            golden_sectors,
+            golden: OnceLock::new(),
             restorations: 0,
             reflashes: 0,
             vectored: eof_dap::vectored_default(),
@@ -236,6 +234,21 @@ impl StateRestoration {
         self.reflashes
     }
 
+    fn golden(&self) -> &Golden {
+        self.golden.get_or_init(|| {
+            let mut sums = Vec::with_capacity(self.images.len());
+            let mut sectors = Vec::with_capacity(self.images.len());
+            for (name, image) in &self.images {
+                let part = self.table.get(name).expect("validated at construction");
+                let mut padded = image.clone();
+                padded.resize(part.size as usize, ERASED);
+                sums.push(fnv1a(&padded));
+                sectors.push(sector_checksums_of(&padded));
+            }
+            Golden { sums, sectors }
+        })
+    }
+
     /// Golden bytes of one sector of partition `i`, as flashed (the
     /// image padded with erased bytes to the partition size).
     fn golden_sector_bytes(&self, i: usize, sector: usize) -> Vec<u8> {
@@ -257,7 +270,7 @@ impl StateRestoration {
     /// Diff target sector checksums of partition `i` against the golden
     /// set and return the `(sector index, golden bytes)` repair list.
     fn sector_delta(&self, i: usize, target: &[u64]) -> Vec<(u32, Vec<u8>)> {
-        self.golden_sectors[i]
+        self.golden().sectors[i]
             .iter()
             .enumerate()
             .filter(|&(s, golden)| target.get(s) != Some(golden))
@@ -328,7 +341,7 @@ impl StateRestoration {
                 let name = self.images[i].0.clone();
                 // As in the vectored path: an unreadable checksum means
                 // the board is sick, not that the flash is damaged.
-                let intact = pipe.flash_checksum(&name)? == self.golden[i].1;
+                let intact = pipe.flash_checksum(&name)? == self.golden().sums[i];
                 if intact {
                     tel::count("restore.partitions_verified_intact", 1);
                     continue;
@@ -390,9 +403,9 @@ impl StateRestoration {
         let damaged: Vec<usize> = pipe
             .run_txn(&verify)?
             .iter()
-            .zip(self.golden.iter())
+            .zip(self.golden().sums.iter())
             .enumerate()
-            .filter(|(_, (r, (_, golden)))| !matches!(r, TxnResult::Checksum(cs) if cs == golden))
+            .filter(|(_, (r, golden))| !matches!(r, TxnResult::Checksum(cs) if cs == *golden))
             .map(|(i, _)| i)
             .collect();
         tel::count(
@@ -405,8 +418,10 @@ impl StateRestoration {
             // partition, one transaction.
             let mut locate = Txn::new();
             for &i in &damaged {
-                locate
-                    .flash_sector_checksums(&self.images[i].0, self.golden_sectors[i].len() as u32);
+                locate.flash_sector_checksums(
+                    &self.images[i].0,
+                    self.golden().sectors[i].len() as u32,
+                );
             }
             let located = pipe.run_txn(&locate)?;
             for (&i, res) in damaged.iter().zip(located.iter()) {
@@ -456,7 +471,7 @@ impl StateRestoration {
         let span = tel::span_start("restore.full_reflash", pipe.now());
         for i in 0..self.images.len() {
             let name = self.images[i].0.clone();
-            let n_sectors = self.golden_sectors[i].len();
+            let n_sectors = self.golden().sectors[i].len();
             for block in (0..n_sectors).step_by(FULL_REFLASH_BLOCK_SECTORS) {
                 let sectors: Vec<(u32, Vec<u8>)> = (block
                     ..(block + FULL_REFLASH_BLOCK_SECTORS).min(n_sectors))

@@ -192,6 +192,18 @@ pub fn image_plain(os: OsKind, profile: ImageProfile) -> Vec<u8> {
 /// Validate and parse an image (the bootloader's job). Any corruption —
 /// bad magic, bad fields, bad checksum — is a boot failure.
 pub fn parse_image(bytes: &[u8]) -> Result<ImageInfo, HalError> {
+    parse_image_with(bytes, |len| Ok(fnv1a(&bytes[..len])))
+}
+
+/// [`parse_image`] with the checksum pass supplied by the caller:
+/// `checksum(len)` must return the FNV-1a of `bytes[..len]`. The boot
+/// loader passes the flash's memoized [`eof_hal::Flash::checksum`], so
+/// an image is hashed once per flash generation rather than once per
+/// boot.
+pub fn parse_image_with(
+    bytes: &[u8],
+    checksum: impl FnOnce(usize) -> Result<u64, HalError>,
+) -> Result<ImageInfo, HalError> {
     let fail = |msg: &str| HalError::BootFailure(msg.to_string());
     if bytes.len() < 16 {
         return Err(fail("image too small"));
@@ -233,7 +245,7 @@ pub fn parse_image(bytes: &[u8]) -> Result<ImageInfo, HalError> {
         return Err(fail("truncated code section"));
     }
     let stored = &bytes[total - 8..total];
-    let computed = fnv1a(&bytes[..total - 8]);
+    let computed = checksum(total - 8)?;
     if stored != computed.to_le_bytes() {
         return Err(fail("image checksum mismatch"));
     }

@@ -43,6 +43,8 @@ pub mod subsys;
 pub use api::{ApiDescriptor, ArgKind, ArgMeta, InvokeResult, KArg, KernelFault};
 pub use bugs::{BugId, BugInfo, DetectionClass, BUG_TABLE};
 pub use ctx::{CovState, ExecCtx};
-pub use image::{build_image, image_plain, parse_image, ImageInfo, OS_BASE_IMAGE_BYTES};
+pub use image::{
+    build_image, image_plain, parse_image, parse_image_with, ImageInfo, OS_BASE_IMAGE_BYTES,
+};
 pub use kernel::{Kernel, OsKind};
 pub use registry::{make_kernel, supported_boards, SupportEntry};
