@@ -189,7 +189,7 @@ fn main() {
         .iter()
         .map(|c| format!("    {}", cell_json(c)))
         .collect();
-    let snapshot_mode = eof_dap::snapshot_default();
+    let snapshot_mode = FuzzerConfig::eof(oses[0], 0).snapshot;
     let json = format!(
         "{{\n  \"config\": {{\"hours\": {hours}, \"faults_per_cell\": {faults}, \"snapshot\": {snapshot_mode}, \"chaos_seeds\": [{}], \"oses\": [{}]}},\n  \"cells\": [\n{}\n  ],\n  \"total\": {{\"episodes\": {total_episodes}, \"recovered\": {total_recovered}, \"manual_interventions\": {total_manual}}},\n  \"all_invariants_hold\": {all_ok},\n  \"telemetry\": {telemetry_json}\n}}\n",
         chaos_seeds.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(", "),

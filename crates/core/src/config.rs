@@ -8,6 +8,38 @@ use eof_coverage::{CoverageKind, InstrumentMode};
 use eof_hal::BoardSpec;
 use eof_rtos::image::ImageProfile;
 use eof_rtos::OsKind;
+use std::sync::OnceLock;
+
+/// Process-wide defaults of the fuzzer-policy environment knobs, parsed
+/// once. This is the only place they are read: the substrate crates
+/// (`eof-dap`, `eof-coverage`, `eof-monitors`) take the resulting
+/// values as arguments.
+struct EnvDefaults {
+    /// `EOF_VECTORED`: unset or anything but `"0"` = vectored.
+    vectored: bool,
+    /// `EOF_SNAPSHOT`: unset or anything but `"0"` = snapshot fast path.
+    snapshot: bool,
+    /// `EOF_CMPLOG`: off unless set to anything but `"0"`.
+    cmplog: bool,
+    /// `EOF_COV`: `"trace"` = hardware trace, anything else = the ring.
+    coverage_backend: CoverageKind,
+}
+
+fn env_defaults() -> &'static EnvDefaults {
+    static DEFAULTS: OnceLock<EnvDefaults> = OnceLock::new();
+    DEFAULTS.get_or_init(|| {
+        let on = |name: &str, unset: bool| std::env::var(name).map_or(unset, |v| v != "0");
+        EnvDefaults {
+            vectored: on("EOF_VECTORED", true),
+            snapshot: on("EOF_SNAPSHOT", true),
+            cmplog: on("EOF_CMPLOG", false),
+            coverage_backend: match std::env::var("EOF_COV") {
+                Ok(v) if v == "trace" => CoverageKind::Trace,
+                _ => CoverageKind::Ring,
+            },
+        }
+    })
+}
 
 /// How test cases are produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,13 +184,13 @@ pub struct FuzzerConfig {
     /// keep nothing. Excluded from the store's config fingerprint, like
     /// the budget knobs.
     pub persist: Option<std::path::PathBuf>,
-    /// Batch the exec hot path (prog upload, coverage drain, sync-point
-    /// breakpoints, reflash verify) into vectored debug-port
-    /// transactions. Defaults to the `EOF_VECTORED` environment knob
-    /// (unset = on; `EOF_VECTORED=0` = scalar fallback). A pure
-    /// transport-level optimisation: per-exec results are bit-identical
-    /// either way (`tests/vectored_equiv.rs` enforces this), so it is
-    /// excluded from the store's config fingerprint.
+    /// Submit every debug burst (prog upload, drains, sync-point
+    /// breakpoints, restores) as one vectored debug-port transaction
+    /// instead of lowering it op by op onto the scalar wire. Defaults to
+    /// the `EOF_VECTORED` environment knob (unset = on; `EOF_VECTORED=0`
+    /// = scalar). A pure transport-level optimisation: per-exec results
+    /// are bit-identical either way (`tests/vectored_equiv.rs` enforces
+    /// this), so it is excluded from the store's config fingerprint.
     pub vectored: bool,
     /// Use board-state snapshots and dirty-page delta restore as the
     /// recovery ladder's cheapest rung and for inter-exec restoration.
@@ -221,11 +253,11 @@ impl FuzzerConfig {
             peripheral_events: false,
             exclude_pseudo: false,
             persist: None,
-            vectored: eof_dap::vectored_default(),
-            snapshot: eof_dap::snapshot_default(),
+            vectored: env_defaults().vectored,
+            snapshot: env_defaults().snapshot,
             mmio: false,
-            cmplog: eof_dap::cmplog_default(),
-            coverage_backend: eof_coverage::backend_default(),
+            cmplog: env_defaults().cmplog,
+            coverage_backend: env_defaults().coverage_backend,
         }
     }
 

@@ -148,27 +148,16 @@ impl Executor {
         // What the flashed image actually carries: a trace-backend
         // campaign flashes the plain build, so the `_kcmp_buf_full`
         // trap never fires and must not be armed.
-        let instrument = config.effective_instrument();
-        if config.vectored {
-            // Arm the sync and monitor breakpoints in one round trip.
-            let mut txn = Txn::new();
-            txn.set_breakpoint(main_addr);
-            if instrument != InstrumentMode::None {
-                txn.set_breakpoint(buf_full_addr);
-            }
-            if let Some(addr) = exception_addr {
-                txn.set_breakpoint(addr);
-            }
-            transport.run_txn(&txn)?;
-        } else {
-            transport.set_breakpoint(main_addr)?;
-            if instrument != InstrumentMode::None {
-                transport.set_breakpoint(buf_full_addr)?;
-            }
-            if let Some(addr) = exception_addr {
-                transport.set_breakpoint(addr)?;
-            }
+        // Arm the sync and monitor breakpoints in one burst.
+        let mut txn = Txn::for_wire(config.vectored);
+        txn.set_breakpoint(main_addr);
+        if config.effective_instrument() != InstrumentMode::None {
+            txn.set_breakpoint(buf_full_addr);
         }
+        if let Some(addr) = exception_addr {
+            txn.set_breakpoint(addr);
+        }
+        transport.run_txn(&txn)?;
         let backend: Box<dyn CoverageBackend + Send> = match config.coverage_backend {
             CoverageKind::Ring => Box::new(InstrumentedRing::new(layout.cov)),
             CoverageKind::Trace => {
@@ -379,16 +368,6 @@ impl Executor {
         self.rearm_snapshot();
     }
 
-    /// Drain the on-device coverage buffer and reset it. Transient link
-    /// drops mid-drain are retried at the link layer: an interrupted
-    /// drain must not silently lose the buffered edges.
-    fn drain_cov(&mut self) -> Vec<u64> {
-        let span = tel::span_start("exec.cov_drain", self.transport.now());
-        let edges = self.drain_cov_inner();
-        tel::span_end(span, self.transport.now());
-        edges
-    }
-
     /// Is any coverage channel live? The ring needs hooks compiled into
     /// the image; the trace unit watches the core itself and works on
     /// the plain build.
@@ -423,136 +402,95 @@ impl Executor {
         Vec::new()
     }
 
-    fn drain_cov_inner(&mut self) -> Vec<u64> {
-        if !self.cov_active() {
-            return Vec::new();
-        }
-        if self.backend.kind() == CoverageKind::Trace {
-            return self.drain_trace();
-        }
-        if self.config.vectored {
-            return self.drain_cov_vectored();
-        }
-        let region = self.layout.cov;
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        // Header and records are read inside ONE retried closure: a
-        // replay after a mid-drain drop re-reads the header and sizes the
-        // record read from the *fresh* count. (Splitting them into two
-        // retried ops would let a replayed record read trust a header
-        // count from before the drop.)
-        let Ok(raw) = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            let mut header = [0u8; 12];
-            p.read_mem(region.base, &mut header)?;
-            let count = endian
-                .u32_from([header[0], header[1], header[2], header[3]])
-                .min(region.capacity);
-            let mut raw = header.to_vec();
-            if count > 0 {
-                let mut records = vec![0u8; (count * 8) as usize];
-                p.read_mem(region.base + 12, &mut records)?;
-                raw.extend_from_slice(&records);
-            }
-            Ok(raw)
-        }) else {
-            return Vec::new();
-        };
-        if raw.len() == 12 {
-            // count == 0: nothing buffered, nothing to reset.
-            return Vec::new();
-        }
-        let edges = self.ingest(&raw, endian);
-        // Reset the buffer for the agent.
-        let zero = endian.u32_bytes(0);
-        let _ = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            p.write_mem(region.base, &zero)
-        });
-        let _ = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            p.write_mem(region.base + 8, &zero)
-        });
-        edges
-    }
-
-    /// Vectored drain: one transaction peeks the header, a second reads
-    /// header + records coalesced AND resets the buffer — so the drain
-    /// and the reset are all-or-nothing (no torn resets; a replay after
-    /// a drop re-reads everything and `parse_drain` recomputes the
-    /// record count from the re-read header).
-    fn drain_cov_vectored(&mut self) -> Vec<u64> {
-        let region = self.layout.cov;
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        let mut peek = Txn::new();
-        peek.read_mem(region.base, 12);
-        let Ok(results) = policy.run_txn(&mut self.link_retry, &mut self.transport, &peek) else {
-            return Vec::new();
-        };
-        let Some(TxnResult::Bytes(header)) = results.into_iter().next() else {
-            return Vec::new();
-        };
-        let count = endian
-            .u32_from([header[0], header[1], header[2], header[3]])
-            .min(region.capacity);
-        if count == 0 {
-            return Vec::new();
-        }
-        let zero = endian.u32_bytes(0);
-        let mut drain = Txn::new();
-        drain
-            .read_mem(region.base, 12 + count * 8)
-            .write_mem(region.base, &zero)
-            .write_mem(region.base + 8, &zero);
-        let Ok(results) = policy.run_txn(&mut self.link_retry, &mut self.transport, &drain) else {
-            return Vec::new();
-        };
-        let Some(TxnResult::Bytes(raw)) = results.into_iter().next() else {
-            return Vec::new();
-        };
-        self.ingest(&raw, endian)
-    }
-
-    /// Drain the hardware trace FIFO: one atomic destructive wire op
-    /// either way (the vectored path rides a transaction, the scalar
-    /// path uses the dedicated probe command; both ship identical
-    /// bytes — header first, then the live stream). There is no header
-    /// peek and no reset write: the drain IS the reset, so a torn
-    /// drain cannot leave host and device disagreeing about counts.
-    fn drain_trace(&mut self) -> Vec<u64> {
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        let raw = if self.config.vectored {
-            let mut txn = Txn::new();
-            txn.drain_trace();
-            match policy.run_txn(&mut self.link_retry, &mut self.transport, &txn) {
-                Ok(results) => match results.into_iter().next() {
-                    Some(TxnResult::Bytes(raw)) => raw,
-                    _ => return self.discard_cov_drain(),
-                },
-                Err(_) => return self.discard_cov_drain(),
-            }
-        } else {
-            match policy.run(&mut self.link_retry, &mut self.transport, |p| p.drain_trace()) {
-                Ok(raw) => raw,
-                Err(_) => return self.discard_cov_drain(),
-            }
-        };
-        self.ingest(&raw, endian)
-    }
-
-    /// Vectored drain of both channels inside the coverage drain's own
-    /// two wire conversations: the atomic `DrainRing` op rides the
-    /// header-peek transaction, so the comparison channel costs zero
-    /// extra transactions per exec — the wire advantage the scalar path
-    /// cannot match.
-    fn drain_cov_and_cmp(&mut self) -> (Vec<u64>, Vec<CmpRecord>) {
+    /// Drain the device's observation channels in one burst: the
+    /// coverage backend's drain op (an atomic trace drain, or a ring
+    /// header peek) and, when `with_cmp`, the cmplog ring's atomic
+    /// `DrainRing` riding the same burst — so the comparison channel
+    /// costs no extra wire conversation. A non-empty ring takes a second
+    /// burst: its records plus the reset. Transient link drops are
+    /// retried at the link layer; a channel whose drain still could not
+    /// be confirmed applied is discarded whole and counted, never
+    /// silently lost.
+    fn drain(&mut self, with_cmp: bool) -> (Vec<u64>, Vec<CmpRecord>) {
         let cov_span = tel::span_start("exec.cov_drain", self.transport.now());
-        let cmp_span = tel::span_start("exec.cmp_drain", self.transport.now());
-        let (edges, records) = if self.backend.kind() == CoverageKind::Trace {
-            self.drain_trace_and_cmp_vectored()
-        } else {
-            self.drain_cov_and_cmp_vectored()
+        let cmp_span = with_cmp.then(|| tel::span_start("exec.cmp_drain", self.transport.now()));
+        let cov = self.cov_active();
+        let ring = self.backend.kind() == CoverageKind::Ring;
+        let (cov_region, cmp) = (self.layout.cov, self.layout.cmp);
+        let (vectored, endian) = (self.config.vectored, self.config.board.endianness);
+        let policy = self.retry;
+        let mut txn = Txn::for_wire(vectored);
+        if cov && ring {
+            txn.read_mem(cov_region.base, 12);
+        } else if cov {
+            txn.drain_trace();
+        }
+        if with_cmp {
+            txn.drain_ring(cmp.base, cmp.capacity, CMP_RECORD_BYTES);
+        }
+        let mut results = policy
+            .run_txn(&mut self.link_retry, &mut self.transport, &txn)
+            .unwrap_or_default()
+            .into_iter();
+        let mut next_bytes = || match results.next() {
+            Some(TxnResult::Bytes(raw)) => Some(raw),
+            _ => None,
         };
-        tel::span_end(cmp_span, self.transport.now());
+        let cov_raw = if cov { next_bytes() } else { None };
+        let cmp_raw = if with_cmp { next_bytes() } else { None };
+        let records = match cmp_raw {
+            Some(raw) => {
+                let (records, overflow) = cmp.parse_drain(&raw, endian);
+                if overflow > 0 {
+                    tel::count("exec.cmp_overflow", overflow as u64);
+                }
+                records
+            }
+            None if with_cmp => self.discard_cmp_drain(),
+            None => Vec::new(),
+        };
+        let edges = match cov_raw {
+            Some(header) if ring => {
+                let count = endian
+                    .u32_from([header[0], header[1], header[2], header[3]])
+                    .min(cov_region.capacity);
+                if count == 0 {
+                    // Nothing buffered, nothing to reset.
+                    Vec::new()
+                } else {
+                    // The one wire-mode-aware choice in the drain: a
+                    // vectored burst re-reads the header with the records
+                    // as one auto-incrementing block, while a scalar read
+                    // fetches only the records behind the header the
+                    // host already holds. Each keeps its mode's cycles
+                    // exact; the bytes decoded are the same either way.
+                    // The core stays halted across both bursts and a
+                    // dropped step applies nothing, so the peeked count
+                    // still holds when a record read is retried.
+                    let skip = if vectored { 0 } else { 12 };
+                    let zero = endian.u32_bytes(0);
+                    let mut txn = Txn::for_wire(vectored);
+                    txn.read_mem(cov_region.base + skip, 12 - skip + count * 8)
+                        .write_mem(cov_region.base, &zero)
+                        .write_mem(cov_region.base + 8, &zero);
+                    match policy
+                        .run_txn(&mut self.link_retry, &mut self.transport, &txn)
+                        .map(|results| results.into_iter().next())
+                    {
+                        Ok(Some(TxnResult::Bytes(tail))) => {
+                            self.ingest(&[&header[..skip as usize], &tail[..]].concat(), endian)
+                        }
+                        _ => self.discard_cov_drain(),
+                    }
+                }
+            }
+            Some(raw) => self.ingest(&raw, endian),
+            None if cov => self.discard_cov_drain(),
+            None => Vec::new(),
+        };
+        if let Some(span) = cmp_span {
+            tel::span_end(span, self.transport.now());
+        }
         tel::span_end(cov_span, self.transport.now());
         if !records.is_empty() {
             tel::count("exec.cmp_records", records.len() as u64);
@@ -560,155 +498,9 @@ impl Executor {
         (edges, records)
     }
 
-    fn drain_cov_and_cmp_vectored(&mut self) -> (Vec<u64>, Vec<CmpRecord>) {
-        let cov = self.layout.cov;
-        let cmp = self.layout.cmp;
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        let mut peek = Txn::new();
-        peek.read_mem(cov.base, 12)
-            .drain_ring(cmp.base, cmp.capacity, CMP_RECORD_BYTES);
-        let Ok(results) = policy.run_txn(&mut self.link_retry, &mut self.transport, &peek) else {
-            return (Vec::new(), self.discard_cmp_drain());
-        };
-        let mut results = results.into_iter();
-        let Some(TxnResult::Bytes(header)) = results.next() else {
-            return (Vec::new(), self.discard_cmp_drain());
-        };
-        let records = match results.next() {
-            Some(TxnResult::Bytes(raw)) => {
-                let (records, overflow) = cmp.parse_drain(&raw, endian);
-                if overflow > 0 {
-                    tel::count("exec.cmp_overflow", overflow as u64);
-                }
-                records
-            }
-            _ => self.discard_cmp_drain(),
-        };
-        let count = endian
-            .u32_from([header[0], header[1], header[2], header[3]])
-            .min(cov.capacity);
-        if count == 0 {
-            return (Vec::new(), records);
-        }
-        let zero = endian.u32_bytes(0);
-        let mut drain = Txn::new();
-        drain
-            .read_mem(cov.base, 12 + count * 8)
-            .write_mem(cov.base, &zero)
-            .write_mem(cov.base + 8, &zero);
-        let Ok(results) = policy.run_txn(&mut self.link_retry, &mut self.transport, &drain) else {
-            return (Vec::new(), records);
-        };
-        let Some(TxnResult::Bytes(raw)) = results.into_iter().next() else {
-            return (Vec::new(), records);
-        };
-        let edges = self.ingest(&raw, endian);
-        (edges, records)
-    }
-
-    /// Trace-backend twin of [`Self::drain_cov_and_cmp_vectored`]: both
-    /// destructive drains ride ONE transaction (`DrainTrace` +
-    /// `DrainRing`), so the whole end-of-exec harvest is a single wire
-    /// conversation that either applies atomically or not at all.
-    fn drain_trace_and_cmp_vectored(&mut self) -> (Vec<u64>, Vec<CmpRecord>) {
-        let cmp = self.layout.cmp;
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        let mut txn = Txn::new();
-        txn.drain_trace()
-            .drain_ring(cmp.base, cmp.capacity, CMP_RECORD_BYTES);
-        let Ok(results) = policy.run_txn(&mut self.link_retry, &mut self.transport, &txn) else {
-            return (self.discard_cov_drain(), self.discard_cmp_drain());
-        };
-        let mut results = results.into_iter();
-        let edges = match results.next() {
-            Some(TxnResult::Bytes(raw)) => self.ingest(&raw, endian),
-            _ => self.discard_cov_drain(),
-        };
-        let records = match results.next() {
-            Some(TxnResult::Bytes(raw)) => {
-                let (records, overflow) = cmp.parse_drain(&raw, endian);
-                if overflow > 0 {
-                    tel::count("exec.cmp_overflow", overflow as u64);
-                }
-                records
-            }
-            _ => self.discard_cmp_drain(),
-        };
-        (edges, records)
-    }
-
-    /// Drain the cmplog operand ring. Mirrors the coverage drain's
-    /// torn-drain discipline: the vectored path uses the atomic
-    /// `DrainRing` op (read + reset in one transaction, so a partial
-    /// application is impossible by construction), the scalar path reads
-    /// header and records inside ONE retried closure so a replay re-sizes
-    /// from the fresh count. A drain that still fails is discarded and
-    /// counted — never a half-parsed journal entry; the next exec's
+    /// A cmp-ring drain that could not be confirmed applied is counted
+    /// and dropped — never a half-parsed journal entry; the next exec's
     /// arming header restarts the ring empty regardless.
-    fn drain_cmp(&mut self) -> Vec<CmpRecord> {
-        let span = tel::span_start("exec.cmp_drain", self.transport.now());
-        let records = self.drain_cmp_inner();
-        tel::span_end(span, self.transport.now());
-        if !records.is_empty() {
-            tel::count("exec.cmp_records", records.len() as u64);
-        }
-        records
-    }
-
-    fn drain_cmp_inner(&mut self) -> Vec<CmpRecord> {
-        let region = self.layout.cmp;
-        let endian = self.config.board.endianness;
-        let policy = self.retry;
-        if self.config.vectored {
-            let mut txn = Txn::new();
-            txn.drain_ring(region.base, region.capacity, CMP_RECORD_BYTES);
-            let raw = match policy.run_txn(&mut self.link_retry, &mut self.transport, &txn) {
-                Ok(results) => match results.into_iter().next() {
-                    Some(TxnResult::Bytes(raw)) => raw,
-                    _ => return self.discard_cmp_drain(),
-                },
-                Err(_) => return self.discard_cmp_drain(),
-            };
-            let (records, overflow) = region.parse_drain(&raw, endian);
-            if overflow > 0 {
-                tel::count("exec.cmp_overflow", overflow as u64);
-            }
-            return records;
-        }
-        let Ok(raw) = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            let mut header = [0u8; 12];
-            p.read_mem(region.base, &mut header)?;
-            let count = endian
-                .u32_from([header[0], header[1], header[2], header[3]])
-                .min(region.capacity);
-            let mut raw = header.to_vec();
-            if count > 0 {
-                let mut records = vec![0u8; (count * CMP_RECORD_BYTES) as usize];
-                p.read_mem(region.base + 12, &mut records)?;
-                raw.extend_from_slice(&records);
-            }
-            Ok(raw)
-        }) else {
-            return self.discard_cmp_drain();
-        };
-        let (records, overflow) = region.parse_drain(&raw, endian);
-        if overflow > 0 {
-            tel::count("exec.cmp_overflow", overflow as u64);
-        }
-        // Reset count and overflow; the arming word survives (and the
-        // next upload rewrites the whole header anyway).
-        let zero = endian.u32_bytes(0);
-        let _ = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            p.write_mem(region.base, &zero)
-        });
-        let _ = policy.run(&mut self.link_retry, &mut self.transport, |p| {
-            p.write_mem(region.base + 8, &zero)
-        });
-        records
-    }
-
     fn discard_cmp_drain(&mut self) -> Vec<CmpRecord> {
         self.cmp_discards += 1;
         tel::count("exec.cmp_discarded", 1);
@@ -829,38 +621,16 @@ impl Executor {
             .config
             .cmplog
             .then(|| self.layout.cmp.armed_header(endian));
-        let uploaded = if self.config.vectored {
-            // Length word, prog body (and arming header) land in one
-            // round trip.
-            let mut txn = Txn::new();
-            txn.write_mem(prog_addr, &len_bytes)
-                .write_mem(prog_addr + 4, &bytes);
-            if let Some(header) = armed_header.as_ref() {
-                txn.write_mem(self.layout.cmp.base, header);
-            }
-            policy
-                .run_txn(&mut self.link_retry, &mut self.transport, &txn)
-                .is_ok()
-        } else {
-            policy
-                .run(&mut self.link_retry, &mut self.transport, |p| {
-                    p.write_mem(prog_addr, &len_bytes)
-                })
-                .is_ok()
-                && policy
-                    .run(&mut self.link_retry, &mut self.transport, |p| {
-                        p.write_mem(prog_addr + 4, &bytes)
-                    })
-                    .is_ok()
-                && armed_header.as_ref().is_none_or(|header| {
-                    let cmp_base = self.layout.cmp.base;
-                    policy
-                        .run(&mut self.link_retry, &mut self.transport, |p| {
-                            p.write_mem(cmp_base, header)
-                        })
-                        .is_ok()
-                })
-        };
+        // Length word, prog body (and arming header) land in one burst.
+        let mut txn = Txn::for_wire(self.config.vectored);
+        txn.write_mem(prog_addr, &len_bytes)
+            .write_mem(prog_addr + 4, &bytes);
+        if let Some(header) = armed_header.as_ref() {
+            txn.write_mem(self.layout.cmp.base, header);
+        }
+        let uploaded = policy
+            .run_txn(&mut self.link_retry, &mut self.transport, &txn)
+            .is_ok();
         if !uploaded {
             self.recover(RecoveryReason::ConnectionLoss);
             outcome.restored = true;
@@ -897,7 +667,7 @@ impl Executor {
                     break;
                 }
                 Ok(LinkEvent::BreakpointHit { pc }) if pc == self.buf_full_addr => {
-                    all_edges.extend(self.drain_cov());
+                    all_edges.extend(self.drain(false).0);
                     continue;
                 }
                 Ok(LinkEvent::BreakpointHit { pc })
@@ -920,7 +690,7 @@ impl Executor {
                     // Crash-path coverage matters (the paper feeds crash
                     // signals back as guidance): drain before anything
                     // resets the buffer.
-                    all_edges.extend(self.drain_cov());
+                    all_edges.extend(self.drain(false).0);
                     let report = self.crash_from_banner(DetectionSource::ExceptionMonitor, prog);
                     outcome.crash = Some(report);
                     continue;
@@ -951,7 +721,7 @@ impl Executor {
                     if declare {
                         self.stall_events += 1;
                         outcome.stalled = true;
-                        all_edges.extend(self.drain_cov());
+                        all_edges.extend(self.drain(false).0);
                         let _ = self.scan_uart();
                         self.recover(RecoveryReason::Stall);
                         outcome.restored = true;
@@ -1001,7 +771,7 @@ impl Executor {
                             verdict @ (Liveness::Stalled { .. } | Liveness::ConnectionTimeout) => {
                                 self.stall_events += 1;
                                 outcome.stalled = true;
-                                all_edges.extend(self.drain_cov());
+                                all_edges.extend(self.drain(false).0);
                                 let hits = self.scan_uart();
                                 if self.config.detection.log_monitor {
                                     if let Some(hit) = hits.first() {
@@ -1031,7 +801,7 @@ impl Executor {
                         if self.transport.now() - start >= secs_to_cycles(secs) {
                             self.stall_events += 1;
                             outcome.stalled = true;
-                            all_edges.extend(self.drain_cov());
+                            all_edges.extend(self.drain(false).0);
                             // Offline triage of whatever the UART holds.
                             let _ = self.scan_uart();
                             let tail = self.log_monitor.tail().to_vec();
@@ -1074,22 +844,14 @@ impl Executor {
             }
         }
 
-        // Final coverage drain (healthy completion path). The operand
-        // ring rides the same path — vectored inside the coverage
-        // drain's own transactions, scalar as its own retried reads.
-        // Degraded paths skip it deliberately: a restoration wipes the
-        // ring with the rest of board state anyway.
+        // Final drain (healthy completion path). The operand ring rides
+        // the coverage drain's burst; degraded paths skip it
+        // deliberately: a restoration wipes the ring with the rest of
+        // board state anyway.
         if self.at_main {
-            if self.config.cmplog && self.config.vectored && self.cov_active() {
-                let (edges, records) = self.drain_cov_and_cmp();
-                all_edges.extend(edges);
-                outcome.cmp_records = records;
-            } else {
-                all_edges.extend(self.drain_cov());
-                if self.config.cmplog {
-                    outcome.cmp_records = self.drain_cmp();
-                }
-            }
+            let (edges, records) = self.drain(self.config.cmplog);
+            all_edges.extend(edges);
+            outcome.cmp_records = records;
         }
 
         // Log monitor on the healthy path too (non-hanging assert spam).
@@ -1494,6 +1256,53 @@ mod tests {
             clean.crash.as_ref().map(|c| c.bug)
         );
         assert_eq!(faulted.coverage().branches(), control.coverage().branches());
+    }
+
+    #[test]
+    fn exhausted_ring_drain_is_counted_and_marks_the_exec_partial() {
+        // A drain the retry layer gives up on is discarded whole and
+        // counted on every channel — the coverage ring included, in both
+        // wire modes. The link drop lands on the exec's final ring drain
+        // and outlasts the whole retry budget.
+        let prog = Prog {
+            mmio: vec![],
+            calls: vec![call(
+                "json_parse",
+                vec![ArgValue::Buffer(br#"{"a":[1,2]}"#.to_vec())],
+            )],
+        };
+        for vectored in [true, false] {
+            let mut cfg = FuzzerConfig::eof(OsKind::FreeRtos, 51);
+            cfg.coverage_backend = CoverageKind::Ring;
+            cfg.vectored = vectored;
+            // A fault-free twin tells when the final drain starts.
+            let mut control = executor_for(cfg.clone());
+            let t0 = control.now();
+            let recorder = tel::begin();
+            let clean = control.run_one(&prog);
+            let reg = recorder.finish();
+            assert!(!clean.cov_partial && clean.new_edges > 0);
+            let drain_at = reg
+                .spans
+                .iter()
+                .filter(|s| s.name == "exec.cov_drain")
+                .map(|s| s.start_cycles)
+                .max()
+                .expect("the exec drained its ring");
+
+            let mut e = executor_for(cfg);
+            assert_eq!(e.now(), t0);
+            e.transport_mut()
+                .machine_mut()
+                .set_fault_plan(eof_hal::FaultPlan::none().at(
+                    drain_at - t0,
+                    eof_hal::InjectedFault::DropLink { cycles: 50_000 },
+                ));
+            let out = e.run_one(&prog);
+            assert_eq!(e.resilience().link.exhausted, 1, "vectored={vectored}");
+            assert_eq!(e.cov_discards(), 1, "vectored={vectored}");
+            assert!(out.cov_partial, "vectored={vectored}");
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 use crate::buffer::CovRegion;
 use crate::trace::{TraceDecoder, TraceStats};
 use eof_hal::Endianness;
-use std::sync::OnceLock;
 
 /// Which coverage channel a campaign acquires edges over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,19 +41,6 @@ impl CoverageKind {
             _ => CoverageKind::Ring,
         }
     }
-}
-
-/// Default coverage backend: the `EOF_COV` environment knob, read once.
-/// `EOF_COV=trace` selects hardware trace; anything else (or unset)
-/// keeps the paper's instrumented ring.
-pub fn backend_default() -> CoverageKind {
-    static DEFAULT: OnceLock<CoverageKind> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        match std::env::var("EOF_COV") {
-            Ok(v) if v == "trace" => CoverageKind::Trace,
-            _ => CoverageKind::Ring,
-        }
-    })
 }
 
 /// One decoded coverage drain.

@@ -34,9 +34,7 @@ pub mod edge;
 pub mod instrument;
 pub mod trace;
 
-pub use backend::{
-    backend_default, CoverageBackend, CoverageKind, DrainedCoverage, InstrumentedRing, TraceDecode,
-};
+pub use backend::{CoverageBackend, CoverageKind, DrainedCoverage, InstrumentedRing, TraceDecode};
 pub use bitmap::{CoverageMap, Snapshot};
 pub use buffer::{CovRegion, RecordOutcome, COV_HEADER_BYTES, COV_RECORD_BYTES};
 pub use cmp::{CmpRecord, CmpRegion, CMP_HEADER_BYTES, CMP_RECORD_BYTES};

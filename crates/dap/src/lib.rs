@@ -21,8 +21,8 @@
 //!   connection losses, so a flaky probe is ridden out at the link layer
 //!   instead of escalating to a full state restoration;
 //! * [`txn`] — [`Txn`]: vectored transactions batching the per-exec hot
-//!   path into single link round trips with all-or-nothing semantics
-//!   (`EOF_VECTORED=0` falls back to the scalar path).
+//!   path into single link round trips with all-or-nothing semantics;
+//!   the same op list lowers op by op onto the scalar wire.
 
 pub mod error;
 pub mod ocd;
@@ -41,4 +41,4 @@ pub use rsp::{
 };
 pub use tap::{TapController, TapState};
 pub use transport::{DebugTransport, LinkConfig, LinkEvent};
-pub use txn::{cmplog_default, snapshot_default, vectored_default, Txn, TxnOp, TxnResult};
+pub use txn::{Txn, TxnOp, TxnResult};

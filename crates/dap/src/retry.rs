@@ -11,7 +11,7 @@
 //! is returned immediately; those are the supervisor's problem, not ours.
 
 use crate::error::DapError;
-use crate::transport::DebugTransport;
+use crate::transport::{DebugTransport, ScalarLowering};
 use crate::txn::{Txn, TxnResult};
 use eof_telemetry as tel;
 
@@ -95,23 +95,41 @@ impl RetryPolicy {
         }
     }
 
-    /// Submit a vectored transaction with all-or-nothing replay.
+    /// Submit a transaction, retrying connection losses the way its
+    /// wire mode allows. An empty transaction is free: no attempt is
+    /// counted.
     ///
-    /// A scalar retry loop re-issues one operation; replaying a *batch*
-    /// is only sound because `DebugTransport::run_txn` guarantees a
-    /// connection loss precedes application — the batch submit is the
-    /// single fault-injection point, so a dropped transaction applied
-    /// nothing and the retry replays it whole. Partial application
-    /// (some ops landed, then the link died, then the replay re-applies
-    /// them) is impossible by construction, which is exactly the hazard
-    /// that makes naive batch retries corrupt coverage buffers.
+    /// **Vectored: all-or-nothing replay.** Replaying a *batch* is only
+    /// sound because `DebugTransport::run_txn` guarantees a connection
+    /// loss precedes application — the batch submit is the single
+    /// fault-injection point, so a dropped transaction applied nothing
+    /// and the retry replays it whole. Partial application (some ops
+    /// landed, then the link died, then the replay re-applies them) is
+    /// impossible by construction, which is exactly the hazard that
+    /// makes naive batch retries corrupt coverage buffers.
+    ///
+    /// **Scalar: resume at the failed step.** Each step of the scalar
+    /// lowering is retried on its own, exactly as [`Self::run`] retries
+    /// one scalar operation. The steps before a failure applied, so the
+    /// burst is never replayed whole: re-running `[DrainTrace,
+    /// DrainRing]` after the trace drain landed would lose its stream.
     pub fn run_txn(
         &self,
         stats: &mut RetryStats,
         pipe: &mut DebugTransport,
         txn: &Txn,
     ) -> Result<Vec<TxnResult>, DapError> {
-        self.run(stats, pipe, |p| p.run_txn(txn))
+        if txn.is_empty() {
+            return Ok(Vec::new());
+        }
+        if txn.is_vectored() {
+            return self.run(stats, pipe, |p| p.run_txn(txn));
+        }
+        let mut lowering = ScalarLowering::new(txn);
+        while !lowering.done() {
+            self.run(stats, pipe, |p| lowering.step(p))?;
+        }
+        Ok(lowering.finish())
     }
 }
 

@@ -344,11 +344,14 @@ impl DebugTransport {
         })
     }
 
-    /// Submit a vectored transaction: every queued operation in one link
-    /// round trip. The batch pays one latency charge, one TAP scan (bulk
-    /// payload shifted in block mode at 1:[`BLOCK_TCK_PER_CORE_CYCLE`]
-    /// instead of the scalar per-word 1:8), and one access-port setup
-    /// ([`cost::MEM_BASE`]) for all its memory operations.
+    /// Submit a transaction, lowered for its wire mode.
+    ///
+    /// **Vectored** ([`Txn::is_vectored`]): every queued operation in one
+    /// link round trip. The batch pays one latency charge, one TAP scan
+    /// (bulk payload shifted in block mode at
+    /// 1:[`BLOCK_TCK_PER_CORE_CYCLE`] instead of the scalar per-word
+    /// 1:8), and one access-port setup ([`cost::MEM_BASE`]) for all its
+    /// memory operations.
     ///
     /// **Atomicity.** The submit itself is the only fault-injection
     /// point: link outages and flaky drops refuse the batch before
@@ -361,7 +364,23 @@ impl DebugTransport {
     /// with the target untouched. A connection-loss error therefore
     /// always means "nothing applied", which is what makes whole-batch
     /// replay ([`crate::RetryPolicy::run_txn`]) safe.
+    ///
+    /// **Scalar**: each op runs as its dedicated scalar method, in
+    /// order, each with its own round trip, fault point and per-op
+    /// telemetry (the steps are listed on `ScalarLowering`). The first
+    /// failing step returns its error with the earlier steps applied.
+    /// Partial application is the expected behaviour of a scalar burst,
+    /// so this path records no `txn` op, no `dap.txn.*` telemetry and no
+    /// [`Self::txn_partials`]; [`crate::RetryPolicy::run_txn`] resumes
+    /// such a burst at the step that failed.
     pub fn run_txn(&mut self, txn: &Txn) -> Result<Vec<TxnResult>, DapError> {
+        if !txn.is_vectored() {
+            let mut lowering = ScalarLowering::new(txn);
+            while !lowering.done() {
+                lowering.step(self)?;
+            }
+            return Ok(lowering.finish());
+        }
         if txn.is_empty() {
             return Ok(Vec::new());
         }
@@ -561,9 +580,7 @@ impl DebugTransport {
                     if drained_rings.contains(base) {
                         return Err(DapError::Target(HalError::BadMachineState {
                             op: "drain ring",
-                            state: format!(
-                                "duplicate drain of ring {base:#x} in one transaction"
-                            ),
+                            state: format!("duplicate drain of ring {base:#x} in one transaction"),
                         }));
                     }
                     drained_rings.push(*base);
@@ -695,6 +712,26 @@ impl DebugTransport {
         })
     }
 
+    /// First step of `DrainRing`'s scalar lowering: the 12-byte ring
+    /// header, then — a dependent read — only the live records behind
+    /// it. Returns header and records, concatenated.
+    fn read_ring(
+        &mut self,
+        base: u32,
+        capacity: u32,
+        record_bytes: u32,
+    ) -> Result<Vec<u8>, DapError> {
+        let mut raw = vec![0u8; 12];
+        self.read_mem(base, &mut raw)?;
+        let e = self.machine.board().endianness;
+        let count = e.u32_from([raw[0], raw[1], raw[2], raw[3]]).min(capacity);
+        if count > 0 {
+            raw.resize(12 + count as usize * record_bytes as usize, 0);
+            self.read_mem(base + 12, &mut raw[12..])?;
+        }
+        Ok(raw)
+    }
+
     /// Look up a firmware symbol address.
     pub fn symbol(&self, name: &str) -> Option<u32> {
         self.machine.symbol(name)
@@ -798,9 +835,8 @@ impl DebugTransport {
         })
     }
 
-    /// Scalar register-file restore + restart at the reset vector (the
-    /// snapshot restore's final step when vectoring is off; the vectored
-    /// path queues [`TxnOp::RestoreCore`] instead).
+    /// Scalar register-file restore + restart at the reset vector: the
+    /// scalar lowering of [`TxnOp::RestoreCore`].
     pub fn restore_core(&mut self) -> Result<(), DapError> {
         self.record_op("restore_core", |t| {
             t.begin_op(64)?;
@@ -818,11 +854,11 @@ impl DebugTransport {
         })
     }
 
-    /// Scalar trace-FIFO drain (the fallback when vectoring is off; the
-    /// vectored path queues [`TxnOp::DrainTrace`] instead). Both paths
-    /// call the same machine primitive, so the drained bytes are
-    /// identical either way — only the wire accounting differs: the
-    /// scalar path paces the whole stream at the per-word 1:8 rate.
+    /// Scalar trace-FIFO drain: the scalar lowering of
+    /// [`TxnOp::DrainTrace`]. Both lowerings call the same machine
+    /// primitive, so the drained bytes are identical either way — only
+    /// the wire accounting differs: the scalar path paces the whole
+    /// stream at the per-word 1:8 rate.
     pub fn drain_trace(&mut self) -> Result<Vec<u8>, DapError> {
         self.record_op("drain_trace", |t| {
             t.begin_op(32 + 12 * 8)?;
@@ -875,6 +911,103 @@ impl DebugTransport {
     /// post-reboot settle delay).
     pub fn sleep(&mut self, cycles: u64) {
         self.machine.bus_mut().charge(cycles);
+    }
+}
+
+/// The scalar lowering of a [`Txn`]: each op as its dedicated scalar
+/// method, in queue order. A step is one retry unit: one method call,
+/// except that `WritePages` takes one `write_mem` per page and
+/// `DrainRing` three steps (header plus live records, then each reset
+/// write). A failed step leaves the lowering where it was, so calling
+/// [`ScalarLowering::step`] again resumes at that step and never
+/// replays one that applied.
+pub(crate) struct ScalarLowering<'a> {
+    ops: &'a [TxnOp],
+    /// Step within the current op, `ops[results.len()]`.
+    step: usize,
+    /// A `DrainRing`'s bytes, read in its first step and returned once
+    /// its reset writes have landed.
+    ring: Vec<u8>,
+    results: Vec<TxnResult>,
+}
+
+impl<'a> ScalarLowering<'a> {
+    pub(crate) fn new(txn: &'a Txn) -> Self {
+        ScalarLowering {
+            ops: txn.ops(),
+            step: 0,
+            ring: Vec::new(),
+            results: Vec::with_capacity(txn.len()),
+        }
+    }
+
+    pub(crate) fn done(&self) -> bool {
+        self.results.len() == self.ops.len()
+    }
+
+    pub(crate) fn finish(self) -> Vec<TxnResult> {
+        self.results
+    }
+
+    /// Run the next step.
+    pub(crate) fn step(&mut self, t: &mut DebugTransport) -> Result<(), DapError> {
+        let ops = self.ops;
+        let done = TxnResult::Done;
+        let result = match &ops[self.results.len()] {
+            TxnOp::Halt => t.halt().map(|()| done)?,
+            TxnOp::Resume => t.resume().map(|()| done)?,
+            TxnOp::ReadMem { addr, len } => {
+                let mut buf = vec![0u8; *len as usize];
+                t.read_mem(*addr, &mut buf)?;
+                TxnResult::Bytes(buf)
+            }
+            TxnOp::WriteMem { addr, data } => t.write_mem(*addr, data).map(|()| done)?,
+            TxnOp::ReadPc => TxnResult::Pc(t.read_pc()?),
+            TxnOp::SetBreakpoint { addr } => t.set_breakpoint(*addr).map(|()| done)?,
+            TxnOp::ClearBreakpoint { addr } => t.clear_breakpoint(*addr).map(|()| done)?,
+            TxnOp::FlashChecksum { partition } => TxnResult::Checksum(t.flash_checksum(partition)?),
+            TxnOp::FlashWrite { partition, image } => {
+                t.flash_partition(partition, image).map(|()| done)?
+            }
+            TxnOp::FlashSectorChecksums { partition, .. } => {
+                TxnResult::Checksums(t.flash_sector_checksums(partition)?)
+            }
+            TxnOp::FlashWriteSectors { partition, sectors } => {
+                t.flash_write_sectors(partition, sectors).map(|()| done)?
+            }
+            TxnOp::ResetTarget => t.reset_target().map(|()| done)?,
+            TxnOp::WritePages { pages } => {
+                if let Some((addr, data)) = pages.get(self.step) {
+                    t.write_mem(*addr, data)?;
+                }
+                if self.step + 1 < pages.len() {
+                    self.step += 1;
+                    return Ok(());
+                }
+                done
+            }
+            TxnOp::RestoreCore => t.restore_core().map(|()| done)?,
+            TxnOp::DrainRing {
+                base,
+                capacity,
+                record_bytes,
+            } => {
+                match self.step {
+                    0 => self.ring = t.read_ring(*base, *capacity, *record_bytes)?,
+                    1 => t.write_mem(*base, &[0u8; 4])?,
+                    _ => t.write_mem(*base + 8, &[0u8; 4])?,
+                }
+                if self.step < 2 {
+                    self.step += 1;
+                    return Ok(());
+                }
+                TxnResult::Bytes(std::mem::take(&mut self.ring))
+            }
+            TxnOp::DrainTrace => TxnResult::Bytes(t.drain_trace()?),
+        };
+        self.step = 0;
+        self.results.push(result);
+        Ok(())
     }
 }
 
@@ -937,6 +1070,10 @@ mod tests {
     }
 
     fn transport() -> DebugTransport {
+        transport_on(BoardCatalog::esp32_devkit())
+    }
+
+    fn transport_on(board: eof_hal::BoardSpec) -> DebugTransport {
         let loader: FirmwareLoader = Box::new(|flash, _| {
             let kernel = flash.read_partition("kernel")?;
             if &kernel[..4] != b"IMG!" {
@@ -944,7 +1081,7 @@ mod tests {
             }
             Ok(Box::new(Walker::new()))
         });
-        let mut m = Machine::new(BoardCatalog::esp32_devkit(), loader);
+        let mut m = Machine::new(board, loader);
         m.reflash_partition("kernel", b"IMG!fw").unwrap();
         m.reset();
         DebugTransport::attach(m, LinkConfig::default())
@@ -1454,7 +1591,10 @@ mod tests {
         let TxnResult::Bytes(empty) = &again[0] else {
             panic!("expected bytes");
         };
-        assert_eq!(u32::from_le_bytes([empty[0], empty[1], empty[2], empty[3]]), 0);
+        assert_eq!(
+            u32::from_le_bytes([empty[0], empty[1], empty[2], empty[3]]),
+            0
+        );
     }
 
     #[test]
@@ -1493,7 +1633,8 @@ mod tests {
 
         // Same ring twice: refused. Two distinct rings: fine.
         let mut txn = Txn::new();
-        txn.drain_ring(base + 0x100, 4, 8).drain_ring(base + 0x100, 4, 8);
+        txn.drain_ring(base + 0x100, 4, 8)
+            .drain_ring(base + 0x100, 4, 8);
         assert!(matches!(t.run_txn(&txn), Err(DapError::Target(_))));
         let mut txn = Txn::new();
         txn.drain_ring(base + 0x100, 4, 8)
@@ -1522,7 +1663,9 @@ mod tests {
         let now = t.now();
         t.schedule_outage(now, 100);
         let mut stats = RetryStats::default();
-        let got = RetryPolicy::default().run_txn(&mut stats, &mut t, &txn).unwrap();
+        let got = RetryPolicy::default()
+            .run_txn(&mut stats, &mut t, &txn)
+            .unwrap();
         assert_eq!(stats.recovered, 1);
         assert_eq!(got, want);
     }
@@ -1546,6 +1689,186 @@ mod tests {
             .unwrap();
         assert_eq!(results[1], TxnResult::Bytes(b"retry-me".to_vec()));
         assert_eq!(stats.recovered, 1);
+        assert_eq!(t.txn_partials(), 0);
+    }
+
+    /// A halted target with a primed trace FIFO and a two-record ring
+    /// (8-byte records) at `ram_base + 0x400`: every op of the scalar
+    /// lowering has something real to act on.
+    fn lowering_fixture(board: eof_hal::BoardSpec) -> (DebugTransport, u32) {
+        let mut t = transport_on(board);
+        prime_trace(&mut t, &[0x42, 0x43, 0x43, 0x99]);
+        t.halt().unwrap();
+        let ring = t.machine().board().ram_base + 0x400;
+        let e = t.machine().board().endianness;
+        let mut header = e.u32_bytes(2).to_vec();
+        header.extend_from_slice(&e.u32_bytes(4));
+        header.extend_from_slice(&e.u32_bytes(0));
+        t.machine_mut().debug_write(ring, &header).unwrap();
+        t.machine_mut().debug_write(ring + 12, &[7u8; 16]).unwrap();
+        (t, ring)
+    }
+
+    /// Run `f` under a telemetry recorder; return its result, the cycles
+    /// it charged, and the recorded per-op stats and counters.
+    fn recorded<T>(
+        t: &mut DebugTransport,
+        f: impl FnOnce(&mut DebugTransport) -> T,
+    ) -> (T, u64, tel::Registry) {
+        let guard = tel::begin();
+        let start = t.now();
+        let out = f(t);
+        (out, t.now() - start, guard.finish())
+    }
+
+    /// The cost model's contract: a one-op scalar `Txn` charges exactly
+    /// the simulated cycles of the op's dedicated scalar method(s) and
+    /// records exactly the same per-op telemetry — on a JTAG board (TAP
+    /// scans) and an SWD board alike.
+    #[test]
+    fn scalar_lowering_charges_each_op_like_its_scalar_method() {
+        type Reference = Box<dyn Fn(&mut DebugTransport) -> TxnResult>;
+        // Exhaustive on purpose: a new TxnOp variant must join the table.
+        let _ = |op: &TxnOp| match op {
+            TxnOp::Halt
+            | TxnOp::Resume
+            | TxnOp::ReadMem { .. }
+            | TxnOp::WriteMem { .. }
+            | TxnOp::ReadPc
+            | TxnOp::SetBreakpoint { .. }
+            | TxnOp::ClearBreakpoint { .. }
+            | TxnOp::FlashChecksum { .. }
+            | TxnOp::FlashWrite { .. }
+            | TxnOp::FlashSectorChecksums { .. }
+            | TxnOp::FlashWriteSectors { .. }
+            | TxnOp::ResetTarget
+            | TxnOp::WritePages { .. }
+            | TxnOp::RestoreCore
+            | TxnOp::DrainRing { .. }
+            | TxnOp::DrainTrace => {}
+        };
+        let done = |r: Result<(), DapError>| {
+            r.unwrap();
+            TxnResult::Done
+        };
+        for board in [BoardCatalog::esp32_devkit(), BoardCatalog::stm32f4_disco()] {
+            let base = board.ram_base;
+            let ring = base + 0x400;
+            let bp = 0x0800_0010;
+            let pages = vec![
+                (base + 0x100, vec![1u8; 32]),
+                (base + 0x2000, vec![2u8; 16]),
+            ];
+            let sectors = vec![(1u32, vec![0xabu8; 64])];
+            let mut all = Txn::new();
+            all.halt()
+                .resume()
+                .read_mem(ring, 20)
+                .write_mem(base + 0x40, b"lowered")
+                .read_pc()
+                .set_breakpoint(bp)
+                .clear_breakpoint(bp)
+                .flash_checksum("kernel")
+                .flash_write("kernel", b"IMG!fw2")
+                .flash_sector_checksums("kernel", 4)
+                .flash_write_sectors("kernel", sectors.clone())
+                .reset_target()
+                .write_pages(pages.clone())
+                .restore_core()
+                .drain_ring(ring, 4, 8)
+                .drain_trace();
+            // Each op's dedicated scalar method(s), in the same order.
+            let references: [Reference; 16] = [
+                Box::new(move |t| done(t.halt())),
+                Box::new(move |t| done(t.resume())),
+                Box::new(move |t| {
+                    let mut buf = vec![0u8; 20];
+                    t.read_mem(ring, &mut buf).unwrap();
+                    TxnResult::Bytes(buf)
+                }),
+                Box::new(move |t| done(t.write_mem(base + 0x40, b"lowered"))),
+                Box::new(|t| TxnResult::Pc(t.read_pc().unwrap())),
+                Box::new(move |t| done(t.set_breakpoint(bp))),
+                Box::new(move |t| done(t.clear_breakpoint(bp))),
+                Box::new(|t| TxnResult::Checksum(t.flash_checksum("kernel").unwrap())),
+                Box::new(move |t| done(t.flash_partition("kernel", b"IMG!fw2"))),
+                Box::new(|t| TxnResult::Checksums(t.flash_sector_checksums("kernel").unwrap())),
+                Box::new(move |t| done(t.flash_write_sectors("kernel", &sectors))),
+                Box::new(move |t| done(t.reset_target())),
+                Box::new(move |t| {
+                    for (addr, data) in &pages {
+                        t.write_mem(*addr, data).unwrap();
+                    }
+                    TxnResult::Done
+                }),
+                Box::new(move |t| done(t.restore_core())),
+                // Header, then only the live records, then the two
+                // reset writes.
+                Box::new(move |t| {
+                    let mut raw = vec![0u8; 12];
+                    t.read_mem(ring, &mut raw).unwrap();
+                    raw.resize(12 + 2 * 8, 0);
+                    t.read_mem(ring + 12, &mut raw[12..]).unwrap();
+                    t.write_mem(ring, &[0u8; 4]).unwrap();
+                    t.write_mem(ring + 8, &[0u8; 4]).unwrap();
+                    TxnResult::Bytes(raw)
+                }),
+                Box::new(|t| TxnResult::Bytes(t.drain_trace().unwrap())),
+            ];
+            assert_eq!(all.len(), references.len());
+            for (op, reference) in all.ops().iter().zip(references) {
+                let (mut a, _) = lowering_fixture(board.clone());
+                let (want, want_cycles, want_tel) = recorded(&mut a, |t| reference(t));
+                let (mut b, _) = lowering_fixture(board.clone());
+                let mut txn = Txn::for_wire(false);
+                txn.push(op.clone());
+                let (got, got_cycles, got_tel) = recorded(&mut b, |t| t.run_txn(&txn).unwrap());
+                let ctx = format!("{op:?} on {}", board.name);
+                assert_eq!(got, vec![want], "{ctx}: results");
+                assert_eq!(got_cycles, want_cycles, "{ctx}: simulated cycles");
+                assert_eq!(got_tel.ops, want_tel.ops, "{ctx}: per-op telemetry");
+                assert_eq!(got_tel.counters, want_tel.counters, "{ctx}: counters");
+                assert!(!got_tel.ops.contains_key("txn"), "{ctx}: recorded a txn op");
+                assert_eq!(b.ops(), a.ops(), "{ctx}: round trips");
+            }
+        }
+    }
+
+    /// A link drop between the two ops of a scalar `[DrainTrace,
+    /// DrainRing]` is retried at the failed op: the trace drain that
+    /// already applied is not replayed (it would come back empty), so
+    /// the burst returns exactly the fault-free bytes.
+    #[test]
+    fn scalar_retry_resumes_at_the_failed_op() {
+        use crate::retry::{RetryPolicy, RetryStats};
+        let board = BoardCatalog::esp32_devkit();
+        let (mut clean, ring) = lowering_fixture(board.clone());
+        let mut txn = Txn::for_wire(false);
+        txn.drain_trace().drain_ring(ring, 4, 8);
+        let want = clean.run_txn(&txn).unwrap();
+
+        // When the trace drain ends, the ring drain's first link check
+        // is a few cycles away: an outage starting there hits it alone.
+        let (mut probe, _) = lowering_fixture(board.clone());
+        let start = probe.now();
+        probe.drain_trace().unwrap();
+        let trace_cycles = probe.now() - start;
+
+        let (mut t, _) = lowering_fixture(board);
+        let now = t.now();
+        t.schedule_outage(now + trace_cycles, 100);
+        let mut stats = RetryStats::default();
+        let (got, _, reg) = recorded(&mut t, |t| {
+            RetryPolicy::default().run_txn(&mut stats, t, &txn).unwrap()
+        });
+        assert_eq!(stats.retries, 1, "{stats:?}");
+        assert_eq!(stats.recovered, 1, "{stats:?}");
+        assert_eq!(got, want);
+        assert_eq!(reg.ops["drain_trace"].count, 1, "trace drained twice");
+        assert_eq!(
+            reg.ops["read_mem"].errors, 1,
+            "the drop hit the ring header read"
+        );
         assert_eq!(t.txn_partials(), 0);
     }
 }

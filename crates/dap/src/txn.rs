@@ -24,8 +24,12 @@
 //! * every queued operation is validated against the target before any
 //!   is applied: a bad address or an over-budget breakpoint refuses the
 //!   whole batch with the target untouched.
-
-use std::sync::OnceLock;
+//!
+//! The scalar wire is not a second code path but a second *lowering* of
+//! the same op list: a `Txn` built with [`Txn::for_wire`]`(false)` runs
+//! each op as its dedicated scalar probe command — its own round trip,
+//! its own fault point, its own retry unit (see
+//! `DebugTransport::run_txn` and [`crate::RetryPolicy::run_txn`]).
 
 /// Wire-descriptor bits per queued operation (command, address, length).
 pub const TXN_HEADER_BITS: u64 = 32;
@@ -35,45 +39,6 @@ pub const TXN_HEADER_BITS: u64 = 32;
 /// vectored batch streams its payload from the probe FIFO without
 /// per-word turnarounds, an 8× faster effective shift.
 pub const BLOCK_TCK_PER_CORE_CYCLE: u64 = 64;
-
-/// Process-wide default for the vectored-transaction knob: `EOF_VECTORED`
-/// unset or any value but `"0"` enables vectoring; `EOF_VECTORED=0`
-/// selects the scalar fallback path everywhere the default is consulted.
-pub fn vectored_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("EOF_VECTORED")
-            .map(|v| v != "0")
-            .unwrap_or(true)
-    })
-}
-
-/// Process-wide default for the snapshot/delta-restore knob:
-/// `EOF_SNAPSHOT` unset or any value but `"0"` enables the snapshot
-/// fast path; `EOF_SNAPSHOT=0` selects the reboot/reflash-only fallback
-/// everywhere the default is consulted.
-pub fn snapshot_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("EOF_SNAPSHOT")
-            .map(|v| v != "0")
-            .unwrap_or(true)
-    })
-}
-
-/// Process-wide default for the cmplog (Redqueen/I2S) knob: unlike the
-/// two above, this one defaults **off** — `EOF_CMPLOG` unset or `"0"`
-/// leaves campaigns byte-identical to pre-cmplog ones; any other value
-/// arms the comparison-operand channel everywhere the default is
-/// consulted.
-pub fn cmplog_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("EOF_CMPLOG")
-            .map(|v| v != "0")
-            .unwrap_or(false)
-    })
-}
 
 /// One queued debug operation inside a [`Txn`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,7 +122,9 @@ pub enum TxnOp {
     /// channel): read `header + capacity × record_bytes` at `base`, then
     /// zero the count and overflow words — one operation, so a link
     /// fault can only lose the whole drain (replayed whole), never leave
-    /// the ring half-reset under a stale count.
+    /// the ring half-reset under a stale count. The scalar lowering is
+    /// three retry units: header + live records in one, then each reset
+    /// write, so a retry never re-reads a ring it already reset.
     DrainRing {
         /// Ring header address.
         base: u32,
@@ -249,17 +216,34 @@ pub enum TxnResult {
     Checksums(Vec<u64>),
 }
 
-/// A host-side batch of debug operations, submitted as one link
-/// transaction via `DebugTransport::run_txn`.
+/// A host-side batch of debug operations, submitted via
+/// `DebugTransport::run_txn` as one vectored link transaction or, when
+/// built for the scalar wire, as the op-by-op scalar lowering.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Txn {
     ops: Vec<TxnOp>,
+    /// Lower op by op over the scalar wire instead of as one round trip.
+    scalar: bool,
 }
 
 impl Txn {
-    /// An empty transaction.
+    /// An empty vectored transaction.
     pub fn new() -> Self {
         Txn::default()
+    }
+
+    /// An empty transaction for the given wire mode: vectored (one
+    /// round trip) or scalar (each op as its dedicated probe command).
+    pub fn for_wire(vectored: bool) -> Self {
+        Txn {
+            ops: Vec::new(),
+            scalar: !vectored,
+        }
+    }
+
+    /// Whether this transaction submits as one vectored round trip.
+    pub fn is_vectored(&self) -> bool {
+        !self.scalar
     }
 
     /// Queued operations, in submission order.

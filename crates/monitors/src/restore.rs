@@ -68,7 +68,10 @@ struct Golden {
 
 impl StateRestoration {
     /// Build from the target's build configuration and the golden images
-    /// to flash (`(partition name, image bytes)`).
+    /// to flash (`(partition name, image bytes)`). Starts vectored with
+    /// the snapshot fast path on — the values the campaign knobs take
+    /// when unset; campaigns thread theirs in with [`Self::set_vectored`]
+    /// and [`Self::set_snapshot_mode`].
     pub fn from_kconfig(
         kconfig: &KConfig,
         flash_size: u32,
@@ -91,8 +94,8 @@ impl StateRestoration {
             golden: OnceLock::new(),
             restorations: 0,
             reflashes: 0,
-            vectored: eof_dap::vectored_default(),
-            snapshot_mode: eof_dap::snapshot_default(),
+            vectored: true,
+            snapshot_mode: true,
             snapshot: None,
             snapshot_captures: 0,
             snapshot_restores: 0,
@@ -100,8 +103,9 @@ impl StateRestoration {
         })
     }
 
-    /// Select vectored (batched) or scalar debug-port traffic for the
-    /// verify/reflash paths. Campaigns thread their `vectored` knob here.
+    /// Select the wire mode every restore burst (delta restore,
+    /// verify/reflash, full reflash) is lowered for: vectored (batched)
+    /// or scalar. Campaigns thread their `vectored` knob here.
     pub fn set_vectored(&mut self, vectored: bool) {
         self.vectored = vectored;
     }
@@ -185,10 +189,10 @@ impl StateRestoration {
 
     /// Delta restore from the armed snapshot: ship every dirty page back
     /// and restart the core at the reset vector, without a reboot and
-    /// without touching flash. Vectored mode sends the whole delta as
-    /// ONE transaction (scatter write + register restore, all-or-
-    /// nothing); the scalar fallback writes page by page. The caller is
-    /// expected to have checked [`Self::snapshot_ready`].
+    /// without touching flash: one burst (scatter write + register
+    /// restore) — all-or-nothing when vectored, page by page on the
+    /// scalar wire. The caller is expected to have checked
+    /// [`Self::snapshot_ready`].
     pub fn snapshot_restore(&mut self, pipe: &mut DebugTransport) -> Result<(), DapError> {
         let Some(snap) = &self.snapshot else {
             return Err(DapError::Protocol("no snapshot armed".into()));
@@ -201,16 +205,9 @@ impl StateRestoration {
             .map(|p| (snap.page_addr(p), snap.page(p).to_vec()))
             .collect();
         let shipped = pages.len() as u64;
-        if self.vectored {
-            let mut txn = Txn::new();
-            txn.write_pages(pages).restore_core();
-            pipe.run_txn(&txn)?;
-        } else {
-            for (addr, data) in &pages {
-                pipe.write_mem(*addr, data)?;
-            }
-            pipe.restore_core()?;
-        }
+        let mut txn = Txn::for_wire(self.vectored);
+        txn.write_pages(pages).restore_core();
+        pipe.run_txn(&txn)?;
         self.snapshot_restores += 1;
         tel::count("restore.snapshot.restores", 1);
         tel::observe("restore.snapshot.pages", shipped);
@@ -322,10 +319,20 @@ impl StateRestoration {
     /// sectors whose checksums disagree, the way probe-rs/OpenOCD
     /// flashers diff sectors before programming. A flipped bit thus
     /// costs one sector's stream, not a multi-megabyte image.
+    ///
+    /// Three bursts: every partition checksum; then every per-sector
+    /// checksum of the damaged partitions; then the sector repairs plus
+    /// the reboot. Only a checksum that *answered* and disagreed counts
+    /// as damage; a refused checksum burst (flash port down, fault
+    /// mid-episode) proves the board cannot take a reflash either, so
+    /// the error propagates and the ladder escalates instead of
+    /// streaming golden images at a port that will refuse them. The
+    /// `full_reflash` rung above still covers a checksum engine that
+    /// answers garbage.
     pub fn restore(&mut self, pipe: &mut DebugTransport) -> Result<(), DapError> {
         let generation = Self::preflight(pipe)?;
         let span = tel::span_start("restore.verify_reflash", pipe.now());
-        let reflashes_before = self.reflashes;
+        let mut damaged = Vec::new();
         if Some(generation) == self.golden_generation {
             // The generation counter has not moved since every partition
             // was last proven golden — and every erase, program and
@@ -334,35 +341,55 @@ impl StateRestoration {
             // reboot.
             tel::count("restore.generation_shortcut", 1);
             pipe.reset_target()?;
-        } else if self.vectored {
-            self.restore_vectored(pipe)?;
         } else {
-            for i in 0..self.images.len() {
-                let name = self.images[i].0.clone();
-                // As in the vectored path: an unreadable checksum means
-                // the board is sick, not that the flash is damaged.
-                let intact = pipe.flash_checksum(&name)? == self.golden().sums[i];
-                if intact {
-                    tel::count("restore.partitions_verified_intact", 1);
-                    continue;
-                }
-                let target = pipe.flash_sector_checksums(&name)?;
-                let delta = self.sector_delta(i, &target);
-                if delta.is_empty() {
-                    // The partition checksum disagreed but every sector
-                    // matched — a lying checksum engine. Distrust it and
-                    // stream the whole image.
-                    pipe.flash_partition(&name, &self.images[i].1)?;
-                } else {
-                    tel::count("restore.sectors_reflashed", delta.len() as u64);
-                    pipe.flash_write_sectors(&name, &delta)?;
-                }
-                self.reflashes += 1;
-                tel::count("restore.partitions_reflashed", 1);
+            let mut verify = Txn::for_wire(self.vectored);
+            for (name, _) in &self.images {
+                verify.flash_checksum(name);
             }
-            pipe.reset_target()?;
+            damaged = pipe
+                .run_txn(&verify)?
+                .iter()
+                .zip(self.golden().sums.iter())
+                .enumerate()
+                .filter(|(_, (r, golden))| !matches!(r, TxnResult::Checksum(cs) if cs == *golden))
+                .map(|(i, _)| i)
+                .collect();
+            tel::count(
+                "restore.partitions_verified_intact",
+                (self.images.len() - damaged.len()) as u64,
+            );
+            let mut repair = Txn::for_wire(self.vectored);
+            if !damaged.is_empty() {
+                // Localise the damage: per-sector checksums of every
+                // damaged partition, one burst.
+                let mut locate = Txn::for_wire(self.vectored);
+                for &i in &damaged {
+                    locate.flash_sector_checksums(
+                        &self.images[i].0,
+                        self.golden().sectors[i].len() as u32,
+                    );
+                }
+                let located = pipe.run_txn(&locate)?;
+                for (&i, res) in damaged.iter().zip(located.iter()) {
+                    let delta = match res {
+                        TxnResult::Checksums(target) => self.sector_delta(i, target),
+                        _ => Vec::new(),
+                    };
+                    if delta.is_empty() {
+                        // Partition checksum disagreed yet every sector
+                        // matched: the checksum engine is lying. Distrust
+                        // it and stream the whole image.
+                        repair.flash_write(&self.images[i].0, &self.images[i].1);
+                    } else {
+                        tel::count("restore.sectors_reflashed", delta.len() as u64);
+                        repair.flash_write_sectors(&self.images[i].0, delta);
+                    }
+                }
+            }
+            repair.reset_target();
+            pipe.run_txn(&repair)?;
         }
-        if self.reflashes == reflashes_before {
+        if damaged.is_empty() {
             // Nothing was programmed: reads and the reboot leave the
             // counter where the preflight saw it, so that read IS the
             // proven-golden proof for the next episode — and an image
@@ -371,6 +398,8 @@ impl StateRestoration {
             self.golden_generation = Some(generation);
             pipe.sleep(secs_to_cycles(REBOOT_SETTLE_SECS));
         } else {
+            self.reflashes += damaged.len() as u64;
+            tel::count("restore.partitions_reflashed", damaged.len() as u64);
             // Repairs moved the counter; the post-repair value is the
             // new proof. (Programming is write-exact here; the
             // full_reflash rung above still covers a checksum engine
@@ -382,70 +411,6 @@ impl StateRestoration {
         self.restorations += 1;
         tel::count("restore.restorations", 1);
         tel::span_end(span, pipe.now());
-        Ok(())
-    }
-
-    /// Vectored verify/reflash: every partition checksum in one
-    /// transaction; then, for the damaged partitions, every per-sector
-    /// checksum in a second; then the sector repairs plus the reboot in
-    /// a third. Only a checksum that *answered* and disagreed counts as
-    /// damage; a refused checksum transaction (flash port down, fault
-    /// mid-episode) proves the board cannot take a reflash either, so
-    /// the error propagates and the ladder escalates instead of
-    /// streaming golden images at a port that will refuse them. The
-    /// `full_reflash` rung above still covers a checksum engine that
-    /// answers garbage.
-    fn restore_vectored(&mut self, pipe: &mut DebugTransport) -> Result<(), DapError> {
-        let mut verify = Txn::new();
-        for (name, _) in &self.images {
-            verify.flash_checksum(name);
-        }
-        let damaged: Vec<usize> = pipe
-            .run_txn(&verify)?
-            .iter()
-            .zip(self.golden().sums.iter())
-            .enumerate()
-            .filter(|(_, (r, golden))| !matches!(r, TxnResult::Checksum(cs) if cs == *golden))
-            .map(|(i, _)| i)
-            .collect();
-        tel::count(
-            "restore.partitions_verified_intact",
-            (self.images.len() - damaged.len()) as u64,
-        );
-        let mut repair = Txn::new();
-        if !damaged.is_empty() {
-            // Localise the damage: per-sector checksums of every damaged
-            // partition, one transaction.
-            let mut locate = Txn::new();
-            for &i in &damaged {
-                locate.flash_sector_checksums(
-                    &self.images[i].0,
-                    self.golden().sectors[i].len() as u32,
-                );
-            }
-            let located = pipe.run_txn(&locate)?;
-            for (&i, res) in damaged.iter().zip(located.iter()) {
-                let delta = match res {
-                    TxnResult::Checksums(target) => self.sector_delta(i, target),
-                    _ => Vec::new(),
-                };
-                if delta.is_empty() {
-                    // Partition checksum disagreed yet every sector
-                    // matched: the checksum engine is lying. Distrust it
-                    // and stream the whole image.
-                    repair.flash_write(&self.images[i].0, &self.images[i].1);
-                } else {
-                    tel::count("restore.sectors_reflashed", delta.len() as u64);
-                    repair.flash_write_sectors(&self.images[i].0, delta);
-                }
-            }
-        }
-        repair.reset_target();
-        pipe.run_txn(&repair)?;
-        self.reflashes += damaged.len() as u64;
-        if !damaged.is_empty() {
-            tel::count("restore.partitions_reflashed", damaged.len() as u64);
-        }
         Ok(())
     }
 
@@ -477,13 +442,9 @@ impl StateRestoration {
                     ..(block + FULL_REFLASH_BLOCK_SECTORS).min(n_sectors))
                     .map(|s| (s as u32, self.golden_sector_bytes(i, s)))
                     .collect();
-                if self.vectored {
-                    let mut txn = Txn::new();
-                    txn.flash_write_sectors(&name, sectors);
-                    pipe.run_txn(&txn)?;
-                } else {
-                    pipe.flash_write_sectors(&name, &sectors)?;
-                }
+                let mut txn = Txn::for_wire(self.vectored);
+                txn.flash_write_sectors(&name, sectors);
+                pipe.run_txn(&txn)?;
             }
             self.reflashes += 1;
             tel::count("restore.partitions_reflashed", 1);
