@@ -9,10 +9,7 @@
 
 use eof_baselines::BaselineKind;
 use eof_bench::rep_configs;
-use eof_core::{
-    artifacts, cache_stats, run_campaign, CacheStats, CampaignResult, FleetRunner, FleetStats,
-    FuzzerConfig,
-};
+use eof_core::{artifacts, cache_stats, CacheStats, CampaignResult, FleetRunner, FuzzerConfig};
 use eof_rtos::OsKind;
 use std::time::Instant;
 
@@ -54,27 +51,17 @@ fn workload(hours: f64, reps: usize) -> (Vec<(OsKind, BaselineKind)>, Vec<Fuzzer
 }
 
 /// Run one phase from cold caches; returns wall seconds, the results in
-/// submission order, the phase's cache counters and the fleet's
-/// scheduling accounting.
-fn run_phase(
-    jobs: usize,
-    configs: Vec<FuzzerConfig>,
-) -> (f64, Vec<CampaignResult>, CacheStats, FleetStats) {
+/// submission order and the phase's cache counters.
+fn run_phase(jobs: usize, configs: Vec<FuzzerConfig>) -> (f64, Vec<CampaignResult>, CacheStats) {
     artifacts::clear_caches();
     eof_core::reset_cache_stats();
     let start = Instant::now();
-    let (out, fleet_stats) =
-        FleetRunner::new(jobs).map_with_stats(configs, |_, config| run_campaign(config));
-    let results: Vec<CampaignResult> = out
+    let results: Vec<CampaignResult> = FleetRunner::new(jobs)
+        .run(configs)
         .into_iter()
         .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
         .collect();
-    (
-        start.elapsed().as_secs_f64(),
-        results,
-        cache_stats(),
-        fleet_stats,
-    )
+    (start.elapsed().as_secs_f64(), results, cache_stats())
 }
 
 /// Order-sensitive fingerprint of everything a campaign reports.
@@ -92,8 +79,8 @@ fn fingerprint(results: &[CampaignResult]) -> String {
 
 fn cache_json(s: &CacheStats) -> String {
     format!(
-        "{{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}, \"image_hits\": {}, \"image_misses\": {}, \"spec_hits\": {}, \"spec_misses\": {}, \"lock_wait_nanos\": {}}}",
-        s.hits(), s.misses(), s.hit_rate(), s.image_hits, s.image_misses, s.spec_hits, s.spec_misses, s.lock_wait_nanos
+        "{{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}, \"image_hits\": {}, \"image_misses\": {}, \"spec_hits\": {}, \"spec_misses\": {}}}",
+        s.hits(), s.misses(), s.hit_rate(), s.image_hits, s.image_misses, s.spec_hits, s.spec_misses
     )
 }
 
@@ -130,10 +117,9 @@ fn main() {
     }
 
     eprintln!("[fleet] serial phase (1 job)...");
-    let (serial_secs, serial_results, serial_cache, serial_fleet) = run_phase(1, configs.clone());
+    let (serial_secs, serial_results, serial_cache) = run_phase(1, configs.clone());
     eprintln!("[fleet] parallel phase ({parallel_jobs} jobs)...");
-    let (parallel_secs, parallel_results, parallel_cache, parallel_fleet) =
-        run_phase(parallel_jobs, configs);
+    let (parallel_secs, parallel_results, parallel_cache) = run_phase(parallel_jobs, configs);
 
     let identical = fingerprint(&serial_results) == fingerprint(&parallel_results);
     let speedup = serial_secs / parallel_secs.max(1e-9);
@@ -170,19 +156,6 @@ fn main() {
     );
     eof_bench::collect_telemetry(&serial_results);
 
-    // Bin-level telemetry: how long fleet jobs queued on the artifact-
-    // cache registry lock. Recorded into a bench-scoped registry, not a
-    // campaign's — lock contention is wall-clock-dependent, and campaign
-    // registries must stay deterministic across job counts.
-    if eof_telemetry::enabled() {
-        let guard = eof_telemetry::begin();
-        eof_telemetry::count(
-            "fleet.cache.lock_wait_cycles",
-            serial_cache.lock_wait_nanos + parallel_cache.lock_wait_nanos,
-        );
-        eof_bench::collect_registries(vec![guard.finish()]);
-    }
-
     let cell_names: Vec<String> = cells
         .iter()
         .map(|(os, kind)| format!("\"{}/{}\"", os.display(), kind.display()))
@@ -195,18 +168,10 @@ fn main() {
         ),
         _ => "null".to_string(),
     };
-    // Scheduler-acquisition wait, serial vs parallel. Under the old
-    // per-item-mutex work list this was lock wait; the lock-free
-    // cursor keeps it near zero, and the delta records what parallel
-    // claiming costs over serial claiming on this host.
-    let sched_delta_nanos =
-        parallel_fleet.sched_wait_nanos as i64 - serial_fleet.sched_wait_nanos as i64;
     let json = format!(
-        "{{\n  \"workload\": {{\"cells\": [{}], \"reps\": {reps}, \"hours_per_campaign\": {hours}}},\n  \"host_cores\": {host_cores},\n  \"jobs\": {{\"requested\": {requested_jobs}, \"effective\": {parallel_jobs}}},\n  \"serial\": {{\"jobs\": 1, \"secs\": {serial_secs:.3}, \"lock_wait_nanos\": {}, \"cache\": {}}},\n  \"parallel\": {{\"jobs\": {parallel_jobs}, \"jobs_requested\": {requested_jobs}, \"secs\": {parallel_secs:.3}, \"lock_wait_nanos\": {}, \"cache\": {}}},\n  \"lock_wait_delta_nanos\": {sched_delta_nanos},\n  \"speedup\": {speedup:.2},\n  \"speedup_valid\": {speedup_valid},\n  \"identical_results\": {identical},\n  \"telemetry\": {telemetry_json}\n}}\n",
+        "{{\n  \"workload\": {{\"cells\": [{}], \"reps\": {reps}, \"hours_per_campaign\": {hours}}},\n  \"host_cores\": {host_cores},\n  \"jobs\": {{\"requested\": {requested_jobs}, \"effective\": {parallel_jobs}}},\n  \"serial\": {{\"jobs\": 1, \"secs\": {serial_secs:.3}, \"cache\": {}}},\n  \"parallel\": {{\"jobs\": {parallel_jobs}, \"jobs_requested\": {requested_jobs}, \"secs\": {parallel_secs:.3}, \"cache\": {}}},\n  \"speedup\": {speedup:.2},\n  \"speedup_valid\": {speedup_valid},\n  \"identical_results\": {identical},\n  \"telemetry\": {telemetry_json}\n}}\n",
         cell_names.join(", "),
-        serial_fleet.sched_wait_nanos,
         cache_json(&serial_cache),
-        parallel_fleet.sched_wait_nanos,
         cache_json(&parallel_cache),
     );
     std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");

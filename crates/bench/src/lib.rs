@@ -142,11 +142,6 @@ pub fn export_telemetry(name: &str) -> Option<tel::TelemetrySummary> {
     Some(summary)
 }
 
-/// Run `reps` repetitions of a configuration with distinct seeds.
-pub fn run_reps(base: &FuzzerConfig, reps: usize) -> Vec<CampaignResult> {
-    run_fleet(rep_configs(base, reps))
-}
-
 /// Run several bases × `reps` as ONE fleet batch — the whole table fans
 /// out at once instead of filling cell by cell — and chunk the results
 /// back per base, each in repetition order.

@@ -71,11 +71,6 @@ struct Memo<K, V> {
     cells: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Host nanoseconds spent waiting on the registry lock — the
-    /// contention cost of fleet-parallel cache lookups. The fleet bench
-    /// surfaces it as the `fleet.cache.lock_wait_cycles` telemetry
-    /// counter and in `BENCH_fleet.json`.
-    lock_wait_nanos: AtomicU64,
 }
 
 impl<K: Eq + Hash, V: Clone> Memo<K, V> {
@@ -84,7 +79,6 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
             cells: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            lock_wait_nanos: AtomicU64::new(0),
         }
     }
 
@@ -92,15 +86,12 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     /// first request. Exactly one caller per key builds; everyone else
     /// (including callers racing the builder) counts as a hit.
     fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> V {
-        let cell = {
-            let wait = std::time::Instant::now();
-            let mut map = self.cells.lock();
-            self.lock_wait_nanos.fetch_add(
-                wait.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                Ordering::Relaxed,
-            );
-            Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
-        };
+        let cell = Arc::clone(
+            self.cells
+                .lock()
+                .entry(key)
+                .or_insert_with(|| Arc::new(OnceLock::new())),
+        );
         let mut built = false;
         let value = cell.get_or_init(|| {
             built = true;
@@ -121,7 +112,6 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     fn reset_counters(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        self.lock_wait_nanos.store(0, Ordering::Relaxed);
     }
 }
 
@@ -187,10 +177,6 @@ pub struct CacheStats {
     pub spec_hits: u64,
     /// Spec requests that ran the pipeline.
     pub spec_misses: u64,
-    /// Host nanoseconds spent waiting on the cache registry locks
-    /// (image + spec) — nonzero contention means fleet jobs are
-    /// serialising on lookups rather than on builds.
-    pub lock_wait_nanos: u64,
 }
 
 impl CacheStats {
@@ -222,8 +208,6 @@ pub fn cache_stats() -> CacheStats {
         image_misses: image_cache().misses.load(Ordering::Relaxed),
         spec_hits: spec_cache().hits.load(Ordering::Relaxed),
         spec_misses: spec_cache().misses.load(Ordering::Relaxed),
-        lock_wait_nanos: image_cache().lock_wait_nanos.load(Ordering::Relaxed)
-            + spec_cache().lock_wait_nanos.load(Ordering::Relaxed),
     }
 }
 
@@ -260,23 +244,6 @@ mod tests {
         memo.clear();
         assert_eq!(memo.get_or_build(7, || 44), 44, "clear drops entries");
         assert_eq!(memo.misses.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn lock_wait_accounting_accumulates_and_resets() {
-        let memo: Memo<u32, u64> = Memo::new();
-        // Uncontended waits may round to zero nanoseconds, so only the
-        // lifecycle is assertable: the counter never goes backwards and
-        // reset zeroes it.
-        let mut last = 0;
-        for i in 0..64 {
-            memo.get_or_build(i, || u64::from(i));
-            let now = memo.lock_wait_nanos.load(Ordering::Relaxed);
-            assert!(now >= last, "lock-wait counter went backwards");
-            last = now;
-        }
-        memo.reset_counters();
-        assert_eq!(memo.lock_wait_nanos.load(Ordering::Relaxed), 0);
     }
 
     #[test]

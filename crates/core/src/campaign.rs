@@ -153,9 +153,33 @@ pub fn build_fuzzer(config: FuzzerConfig, plan: FaultPlan) -> (Fuzzer, GenReport
     let image_bytes = image.len();
     tel::span_end(image_span, 0);
     let boot_span = tel::span_start("campaign.boot", 0);
+    let executor = boot_executor(&config, &image, plan);
+    tel::span_end(boot_span, executor.now());
+    let generator =
+        Generator::new(spec, config.seed, config.gen_mode, config.max_calls).with_mmio(config.mmio);
+    // Open the campaign store (if persistence is on) before the config
+    // moves into the fuzzer; the fuzzer writes crash records into it
+    // incrementally on first sighting.
+    let store = config
+        .persist
+        .as_deref()
+        .map(|dir| crate::persist::CampaignStore::create(dir, &config))
+        .transpose()
+        .expect("campaign store directory is writable");
+    let mut fuzzer = Fuzzer::new(config, generator, executor);
+    if let Some(store) = store {
+        fuzzer.set_store(store);
+    }
+    (fuzzer, spec_report, image_bytes)
+}
+
+/// Flash `image`, boot, derive the memory layout, arm the state
+/// restoration and attach over the debug interface: an executor parked
+/// at its first sync point. Campaigns and replay boot through here.
+pub(crate) fn boot_executor(config: &FuzzerConfig, image: &[u8], plan: FaultPlan) -> Executor {
     let mut machine = Machine::new(config.board.clone(), agent_loader());
     machine
-        .reflash_partition("kernel", &image)
+        .reflash_partition("kernel", image)
         .expect("image fits kernel partition");
     machine.reset();
     if plan.pending() > 0 {
@@ -175,36 +199,18 @@ pub fn build_fuzzer(config: FuzzerConfig, plan: FaultPlan) -> (Fuzzer, GenReport
     let restoration = StateRestoration::from_kconfig(
         &kconfig,
         config.board.flash_size,
-        vec![("kernel".to_string(), (*image).clone())],
+        vec![("kernel".to_string(), image.to_vec())],
     )
     .expect("golden image fits");
 
-    // Attach over the debug interface and fuzz.
     let transport = DebugTransport::attach(machine, LinkConfig::default());
-    let executor = Executor::new(
+    Executor::new(
         transport,
         config.clone(),
         api_table_of(config.os),
         restoration,
     )
-    .expect("executor binds to sync symbols");
-    tel::span_end(boot_span, executor.now());
-    let generator =
-        Generator::new(spec, config.seed, config.gen_mode, config.max_calls).with_mmio(config.mmio);
-    // Open the campaign store (if persistence is on) before the config
-    // moves into the fuzzer; the fuzzer writes crash records into it
-    // incrementally on first sighting.
-    let store = config
-        .persist
-        .as_deref()
-        .map(|dir| crate::persist::CampaignStore::create(dir, &config))
-        .transpose()
-        .expect("campaign store directory is writable");
-    let mut fuzzer = Fuzzer::new(config, generator, executor);
-    if let Some(store) = store {
-        fuzzer.set_store(store);
-    }
-    (fuzzer, spec_report, image_bytes)
+    .expect("executor binds to sync symbols")
 }
 
 fn run_campaign_traced(

@@ -24,7 +24,6 @@ use eof_monitors::{
 use eof_speclang::prog::Prog;
 use eof_speclang::wire::{encode_prog, ApiTable, WireOrder};
 use eof_telemetry as tel;
-use std::sync::OnceLock;
 
 /// Budget for one `continue` slice, in cycles.
 const SLICE_CYCLES: u64 = 2_000;
@@ -33,18 +32,8 @@ const SLICE_CYCLES: u64 = 2_000;
 const MAX_SLICES: u32 = 24;
 
 /// Cycle threshold above which an execution is journalled as slow
-/// (`exec.slow` telemetry event). Tunable via `EOF_SLOW_EXEC_CYCLES`;
-/// printing the offending prog to stderr additionally requires
-/// `EOF_DEBUG_SLOW`, so default-verbosity runs stay silent.
-fn slow_exec_threshold() -> u64 {
-    static THRESHOLD: OnceLock<u64> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("EOF_SLOW_EXEC_CYCLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1_000_000)
-    })
-}
+/// (`exec.slow` telemetry event, carrying cycles and call count).
+const SLOW_EXEC_CYCLES: u64 = 1_000_000;
 
 /// Outcome of one test-case execution.
 #[derive(Debug, Clone, Default)]
@@ -917,14 +906,11 @@ impl Executor {
             self.transport.sleep(extra);
         }
         outcome.cycles = self.transport.now() - start;
-        if outcome.cycles >= slow_exec_threshold() {
+        if outcome.cycles >= SLOW_EXEC_CYCLES {
             tel::count("exec.slow", 1);
             tel::event("exec.slow", self.transport.now(), || {
                 format!("cycles={} calls={}", outcome.cycles, prog.calls.len())
             });
-            if std::env::var_os("EOF_DEBUG_SLOW").is_some() {
-                eprintln!("[slow exec: {} cycles]\n{prog}", outcome.cycles);
-            }
         }
 
         if !self.at_main {

@@ -6,10 +6,10 @@
 //! which worker got which cell, which fault serial each slice drew,
 //! which order reports merged — is a pure function of `(FabricConfig,
 //! FabricChaosPlan)`. The only parallelism is *inside* a round: busy
-//! workers execute their slices on scoped threads, but their results
-//! are folded back in slot order. That is what lets CI assert an
-//! N-worker fabric byte-equal to serial, and lets every chaos schedule
-//! replay bit-for-bit.
+//! workers execute their slices on the campaign pool ([`FleetRunner`]),
+//! but their results are folded back in slot order. That is what lets
+//! CI assert an N-worker fabric byte-equal to serial, and lets every
+//! chaos schedule replay bit-for-bit.
 //!
 //! Phase order per round:
 //! 1. **assign** — idle live workers lease the lowest schedulable cell;
@@ -24,7 +24,6 @@
 //!    holding its stale epoch, gets fenced on wake-up).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use eof_rtos::bugs::BugId;
@@ -33,6 +32,7 @@ use super::chaos::{FabricChaosPlan, FabricFault};
 use super::lease::{CellId, CellOutcome, Epoch, LeaseTable, ReassignReason, WorkerId};
 use super::worker::{advance_cell, slice_target_hours, FinishedCell, SliceReport};
 use super::FabricConfig;
+use crate::fleet::FleetRunner;
 
 /// Fabric-level fault and recovery accounting (the lease table carries
 /// its own grant/heartbeat/expiry counters alongside).
@@ -198,22 +198,18 @@ pub(super) fn run_engine(config: &FabricConfig, plan: &FabricChaosPlan) -> Engin
         for &(_, cell, _, _) in &jobs {
             progress[cell].serial += 1;
         }
-        let ends: BTreeMap<WorkerId, SliceEnd> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .iter()
-                .map(|&(w, cell, slice, fault)| {
-                    let cfg = &cells[cell];
-                    let dir = cell_dir(&config.root, cell);
-                    let slices = config.slices_per_cell;
-                    s.spawn(move |_| (w, execute_slice(cfg, &dir, slices, slice, fault)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fabric worker thread"))
-                .collect()
-        })
-        .expect("fabric scope");
+        // A panic in the campaign itself is a worker death too (crash
+        // isolation): the pool contains it to the job's slot.
+        let busy: Vec<WorkerId> = jobs.iter().map(|&(w, ..)| w).collect();
+        let runs = FleetRunner::new(jobs.len()).map(jobs, |_, (_, cell, slice, fault)| {
+            let dir = cell_dir(&config.root, cell);
+            execute_slice(&cells[cell], &dir, config.slices_per_cell, slice, fault)
+        });
+        let ends: BTreeMap<WorkerId, SliceEnd> = busy
+            .into_iter()
+            .zip(runs)
+            .map(|(w, run)| (w, run.unwrap_or(SliceEnd::Death { label: "panic" })))
+            .collect();
 
         // Phase 3: deliver, in slot order.
         for (w, slot) in slots.iter_mut().enumerate() {
@@ -377,8 +373,7 @@ fn deliver(
 
 /// Execute one slice, then apply the scheduled fault (if any) at the
 /// slice boundary — after the checkpoint write, mirroring a process
-/// that dies between atomic store renames, never inside one. A panic in
-/// the campaign itself is a worker death too (crash isolation).
+/// that dies between atomic store renames, never inside one.
 fn execute_slice(
     config: &crate::config::FuzzerConfig,
     dir: &Path,
@@ -387,10 +382,7 @@ fn execute_slice(
     fault: Option<FabricFault>,
 ) -> SliceEnd {
     let target = slice_target_hours(config.budget_hours, slices, slice);
-    let report = match catch_unwind(AssertUnwindSafe(|| advance_cell(config, dir, target))) {
-        Ok(report) => report,
-        Err(_) => return SliceEnd::Death { label: "panic" },
-    };
+    let report = advance_cell(config, dir, target);
     match fault {
         None => SliceEnd::Report(report),
         Some(FabricFault::Kill) => SliceEnd::Death { label: "kill" },

@@ -598,6 +598,39 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_campaign_is_a_worker_death_and_a_reported_failure() {
+        let mut config = small_fabric("panic", 2);
+        config.slices_per_cell = 2;
+        config.poison_kills = 10;
+        // A checkpoint from another seed in cell 0's directory makes
+        // every resume a `ConfigMismatch`, which `advance_cell` panics
+        // on. The scheduled kill keeps the plan honest about injecting
+        // a fault (an empty plan forbids deaths); the panic pre-empts it.
+        let mut foreign = config.cells[0].clone();
+        foreign.seed += 1;
+        let dir = coordinator::cell_dir(&config.root, 0);
+        advance_cell(
+            &foreign,
+            &dir,
+            slice_target_hours(foreign.budget_hours, 2, 0),
+        );
+        let plan = FabricChaosPlan::none().with(0, 0, FabricFault::Kill);
+        let report = run_fabric(&config, &plan);
+        assert_eq!(
+            report.accounting.worker_deaths,
+            u64::from(config.max_attempts),
+            "every attempt at cell 0 died"
+        );
+        let failed: Vec<_> = report.failures.iter().filter(|(c, _, _)| *c == 0).collect();
+        assert_eq!(failed.len(), 1, "cell 0 is reported failed");
+        assert!(!failed[0].1.is_empty());
+        let done: Vec<CellId> = report.outcomes.iter().map(|(c, _)| *c).collect();
+        assert_eq!(done, (1..config.cells.len()).collect::<Vec<_>>());
+        assert_eq!(report.violations, Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&config.root);
+    }
+
+    #[test]
     fn seeded_chaos_schedules_replay_bit_for_bit() {
         let mut config = small_fabric("replay", 3);
         config.slices_per_cell = 2;

@@ -6,7 +6,7 @@
 //! streams are seeded per config, and the shared artifact caches
 //! ([`crate::artifacts`]) are keyed purely on inputs. [`FleetRunner`]
 //! exploits that independence with a fixed pool of scoped worker
-//! threads pulling jobs off a shared index, while keeping the *results*
+//! threads pulling jobs off a shared queue, while keeping the *results*
 //! in submission order so `jobs=1` and `jobs=N` output byte-identical
 //! reports.
 //!
@@ -14,17 +14,15 @@
 //! unwind and records a [`FleetError`] in that job's slot; the other
 //! jobs — and the process — carry on.
 //!
-//! Scheduling is lock-free: the work list is a fixed array whose
-//! indices are claimed through one atomic cursor (each `fetch_add` is
-//! an exclusive claim), and results travel back in per-worker buffers
-//! scattered into submission order after the join — no per-item mutex
-//! on either side. [`FleetStats`] accounts the residual acquisition
-//! cost so the fleet bench can report it.
+//! The pool is the one place campaigns go onto threads: the bench bins
+//! fan batches through [`FleetRunner::run`], and the fabric coordinator
+//! runs each round's slices through [`FleetRunner::map`]. Workers claim
+//! items from one shared queue under a mutex held only for the claim,
+//! never across a job.
 
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
+
+use parking_lot::Mutex;
 
 use crate::campaign::{run_campaign, CampaignResult};
 use crate::config::FuzzerConfig;
@@ -48,57 +46,6 @@ impl std::error::Error for FleetError {}
 
 /// Result of one fleet job.
 pub type FleetResult<R> = Result<R, FleetError>;
-
-/// Scheduling accounting for one [`FleetRunner::map`] batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    /// Workers actually spawned: `jobs.min(items)`.
-    pub workers: usize,
-    /// Items executed.
-    pub items: usize,
-    /// Wall nanoseconds workers spent acquiring work — winning the
-    /// cursor and taking the item — summed across workers. The
-    /// previous design paid two mutex acquisitions per item here
-    /// (claim the item, store the result); the fleet bench reports
-    /// this figure as `lock_wait_nanos` so the delta stays visible.
-    pub sched_wait_nanos: u64,
-}
-
-/// The fixed work list for one batch, claimed through an atomic
-/// cursor: winning index `i` from the cursor's `fetch_add` is the
-/// exclusive claim on `items[i]`, so taking the item needs no
-/// per-item lock.
-struct WorkList<T> {
-    items: Vec<UnsafeCell<Option<T>>>,
-}
-
-// SAFETY: a worker only touches `items[i]` after winning `i` from the
-// shared cursor, and `fetch_add` yields each index to at most one
-// caller — the cell is never accessed concurrently. `T: Send` because
-// the claim moves the item from the submitting thread to the worker.
-unsafe impl<T: Send> Sync for WorkList<T> {}
-
-impl<T> WorkList<T> {
-    fn new(items: Vec<T>) -> Self {
-        WorkList {
-            items: items
-                .into_iter()
-                .map(|t| UnsafeCell::new(Some(t)))
-                .collect(),
-        }
-    }
-
-    /// Take item `i` out of the list.
-    ///
-    /// # Safety
-    /// `i` must have been won from the batch cursor, making this call
-    /// the cell's only access for the lifetime of the batch.
-    unsafe fn take(&self, i: usize) -> T {
-        (*self.items[i].get())
-            .take()
-            .expect("each job claimed once")
-    }
-}
 
 /// A worker pool for running batches of independent campaigns.
 #[derive(Debug, Clone, Copy)]
@@ -148,108 +95,49 @@ impl FleetRunner {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        self.map_with_stats(items, f).0
-    }
-
-    /// [`map`](Self::map) plus the batch's [`FleetStats`].
-    pub fn map_with_stats<T, R, F>(&self, items: Vec<T>, f: F) -> (Vec<FleetResult<R>>, FleetStats)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let n = items.len();
-        if n == 0 {
-            return (Vec::new(), FleetStats::default());
-        }
-        let workers = self.jobs.min(n);
-        // Indices are claimed via the shared cursor; each worker keeps
-        // its results in a private buffer handed back through the join,
-        // and the scatter below restores submission order — so ordering
-        // is independent of scheduling and no result slot is contended.
-        let work = WorkList::new(items);
-        let cursor = AtomicUsize::new(0);
-        let sched_wait = AtomicU64::new(0);
-        let f = &f;
-        let work = &work;
-        let cursor = &cursor;
-        let sched_wait = &sched_wait;
-        let run_worker = move |_: &crossbeam::thread::Scope<'_, '_>| {
-            let mut buf: Vec<(usize, FleetResult<R>)> = Vec::new();
-            let mut waited = 0u64;
-            loop {
-                let t0 = Instant::now();
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // SAFETY: the `fetch_add` above handed index `i` to
-                // this worker alone.
-                let item = unsafe { work.take(i) };
-                waited += t0.elapsed().as_nanos() as u64;
-                let out =
-                    catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|payload| FleetError {
-                        job: i,
-                        message: panic_message(payload),
-                    });
-                buf.push((i, out));
-            }
-            sched_wait.fetch_add(waited, Ordering::Relaxed);
-            buf
-        };
-        let buffers: Vec<Vec<(usize, FleetResult<R>)>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers).map(|_| s.spawn(run_worker)).collect();
+        let workers = self.jobs.min(items.len());
+        let queue = Mutex::new(items.into_iter().enumerate());
+        // The guard is a temporary of this closure's body, so it is
+        // released as soon as the claim returns — before the job runs.
+        let claim = || queue.lock().next();
+        let (claim, f) = (&claim, &f);
+        let mut done: Vec<(usize, FleetResult<R>)> = crossbeam::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(move |_| {
+                        let mut buf = Vec::new();
+                        while let Some((i, item)) = claim() {
+                            let out =
+                                catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|payload| {
+                                    FleetError {
+                                        job: i,
+                                        message: panic_message(payload),
+                                    }
+                                });
+                            buf.push((i, out));
+                        }
+                        buf
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
-                .map(|h| {
+                .flat_map(|h| {
                     h.join()
                         .expect("fleet workers contain panics via catch_unwind")
                 })
                 .collect()
         })
         .expect("the scope closure does not panic");
-        let mut out: Vec<Option<FleetResult<R>>> = (0..n).map(|_| None).collect();
-        for (i, result) in buffers.into_iter().flatten() {
-            debug_assert!(out[i].is_none(), "index {i} claimed twice");
-            out[i] = Some(result);
-        }
-        let results = out
-            .into_iter()
-            .map(|slot| slot.expect("every index claimed"))
-            .collect();
-        let stats = FleetStats {
-            workers,
-            items: n,
-            sched_wait_nanos: sched_wait.load(Ordering::Relaxed),
-        };
-        (results, stats)
+        // Scheduling decides which worker ran which item, never where
+        // its result lands.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 
     /// Run a batch of campaigns, results in submission order.
     pub fn run(&self, configs: Vec<FuzzerConfig>) -> Vec<FleetResult<CampaignResult>> {
         self.map(configs, |_, config| run_campaign(config))
-    }
-
-    /// Run a batch of campaigns with persistence: job `i` writes its
-    /// store into `base_dir/job-<i>`, overriding whatever `persist`
-    /// the config carried. The per-job directories keep concurrent
-    /// workers from ever sharing a store; a shared directory would
-    /// still degrade safely (per-file atomic writes, foreign entries
-    /// counted and skipped) but would interleave manifests.
-    pub fn run_persisted(
-        &self,
-        configs: Vec<FuzzerConfig>,
-        base_dir: &std::path::Path,
-    ) -> Vec<FleetResult<CampaignResult>> {
-        let configs: Vec<FuzzerConfig> = configs
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut c)| {
-                c.persist = Some(base_dir.join(format!("job-{i}")));
-                c
-            })
-            .collect();
-        self.run(configs)
     }
 }
 
@@ -312,25 +200,28 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let (out, stats): (Vec<FleetResult<u8>>, FleetStats) =
-            FleetRunner::new(2).map_with_stats(Vec::new(), |_, x| x);
+        let out: Vec<FleetResult<u8>> = FleetRunner::new(2).map(Vec::new(), |_, x| x);
         assert!(out.is_empty());
-        assert_eq!(stats, FleetStats::default());
     }
 
     #[test]
-    fn stats_count_workers_and_items() {
-        // More jobs than items: the pool is trimmed to the batch, and
-        // the scheduling-wait figure is measured (its magnitude is
-        // hardware-dependent, so only its presence is asserted).
-        let (out, stats) =
-            FleetRunner::new(8).map_with_stats((0..5usize).collect::<Vec<_>>(), |_, x| x * 2);
-        assert_eq!(
-            out.into_iter().map(|r| r.unwrap()).collect::<Vec<_>>(),
-            vec![0, 2, 4, 6, 8]
-        );
-        assert_eq!(stats.workers, 5);
-        assert_eq!(stats.items, 5);
+    fn the_pool_runs_jobs_items_at_once() {
+        // Holding the queue lock across a job would serialise the pool:
+        // the peak would stay at 1 and this assertion fails (no job
+        // waits on another, so it cannot hang).
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let jobs = 4;
+        let in_flight = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let out = FleetRunner::new(jobs).map((0..4 * jobs).collect::<Vec<_>>(), |_, x| {
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            x
+        });
+        assert!(out.iter().all(Result::is_ok));
+        assert_eq!(peak.load(Ordering::SeqCst), jobs);
     }
 
     #[test]
@@ -354,23 +245,6 @@ mod tests {
         let serial = FleetRunner::new(1).map(configs.clone(), |_, c| run_campaign_recorded(c));
         let parallel = FleetRunner::new(4).map(configs, |_, c| run_campaign_recorded(c));
         assert_eq!(merged_summary(serial), merged_summary(parallel));
-    }
-
-    #[test]
-    fn persisted_fleet_writes_one_store_per_job() {
-        let base = std::env::temp_dir().join(format!("eof-fleet-persist-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        let configs = vec![short(OsKind::Zephyr, 31), short(OsKind::FreeRtos, 32)];
-        let out = FleetRunner::new(2).run_persisted(configs, &base);
-        for (i, r) in out.iter().enumerate() {
-            let r = r.as_ref().expect("persisted campaign runs");
-            let audit = r.persist.as_ref().expect("job audited its store");
-            assert_eq!(audit.write_errors, 0);
-            let loaded = crate::persist::open(&base.join(format!("job-{i}"))).unwrap();
-            assert_eq!(loaded.seeds.len(), audit.seeds_written);
-            assert_eq!(loaded.manifest.branches, r.branches);
-        }
-        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

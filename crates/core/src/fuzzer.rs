@@ -122,16 +122,6 @@ impl Fuzzer {
         &mut self.executor
     }
 
-    /// The cmplog operand journal (`None` without cmplog).
-    pub fn cmp_journal(&self) -> Option<&CmpJournal> {
-        self.cmplog.as_ref().map(|(j, _)| j)
-    }
-
-    /// The cmplog operator scheduler (`None` without cmplog).
-    pub fn op_scheduler(&self) -> Option<&OpScheduler> {
-        self.cmplog.as_ref().map(|(_, s)| s)
-    }
-
     /// Run one fuzzing iteration: pick or generate an input, execute it,
     /// and — when it discovers new coverage — immediately exploit the
     /// frontier with a burst of follow-up mutations (the AFL-style

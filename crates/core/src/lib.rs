@@ -85,7 +85,7 @@ pub use fabric::{
     diff_against_serial, fabric_chaos_plan, fabric_grid, run_fabric, run_serial, FabricChaosPlan,
     FabricConfig, FabricFault, FabricReport, SerialMerge,
 };
-pub use fleet::{FleetError, FleetResult, FleetRunner, FleetStats};
+pub use fleet::{FleetError, FleetResult, FleetRunner};
 pub use fuzzer::{Fuzzer, FuzzerStats};
 pub use gen::Generator;
 pub use minimize::{minimize, MinimizeResult};

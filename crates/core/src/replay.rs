@@ -22,7 +22,7 @@
 //!   prefix of the re-derived history — making a resumed campaign
 //!   summary-identical to an uninterrupted one by construction.
 
-use crate::campaign::{run_campaign_with_coverage, CampaignResult};
+use crate::campaign::{boot_executor, run_campaign_with_coverage, CampaignResult};
 use crate::config::FuzzerConfig;
 use crate::corpus::{Corpus, Seed};
 use crate::crash::{dedup_key, CrashDb, CrashReport};
@@ -32,11 +32,8 @@ use crate::persist::{
     self, config_fingerprint, CampaignStore, LoadedStore, PersistedCrash, PersistedSeed, SkipStats,
     StoreError, StoreManifest,
 };
-use eof_agent::{agent_loader, api_table_of};
 use eof_coverage::CoverageMap;
-use eof_dap::{DebugTransport, LinkConfig};
-use eof_hal::Machine;
-use eof_monitors::{parse_kconfig, render_kconfig, StateRestoration};
+use eof_hal::FaultPlan;
 use eof_rtos::OsKind;
 use eof_telemetry as tel;
 use std::collections::BTreeSet;
@@ -45,37 +42,14 @@ use std::path::{Path, PathBuf};
 /// Executions the finalize pass may spend minimising one crash.
 const MINIMIZE_TRIALS: u32 = 96;
 
-/// Boot a fresh target for replay/confirmation — same construction as a
-/// campaign, minus the fuzzing loop. The machine and its simulated
-/// clock are private to the returned executor, so replay work never
-/// perturbs a live campaign.
+/// Boot a fresh target for replay/confirmation — the campaign's boot
+/// path, minus the fuzzing loop. The machine and its simulated clock
+/// are private to the returned executor, so replay work never perturbs
+/// a live campaign.
 pub(crate) fn fresh_executor(config: &FuzzerConfig) -> Executor {
     let image =
         crate::artifacts::cached_image(config.os, config.profile, &config.effective_instrument());
-    let mut machine = Machine::new(config.board.clone(), agent_loader());
-    machine
-        .reflash_partition("kernel", &image)
-        .expect("image fits kernel partition");
-    machine.reset();
-    let kconfig_text = render_kconfig(
-        &config.board.arch.to_string().to_lowercase(),
-        machine.flash().table(),
-    );
-    let kconfig = parse_kconfig(&kconfig_text).expect("rendered kconfig parses");
-    let restoration = StateRestoration::from_kconfig(
-        &kconfig,
-        config.board.flash_size,
-        vec![("kernel".to_string(), (*image).clone())],
-    )
-    .expect("golden image fits");
-    let transport = DebugTransport::attach(machine, LinkConfig::default());
-    Executor::new(
-        transport,
-        config.clone(),
-        api_table_of(config.os),
-        restoration,
-    )
-    .expect("executor binds to sync symbols")
+    boot_executor(config, &image, FaultPlan::none())
 }
 
 /// Does an observed crash match a recorded class? Triaged classes match

@@ -309,11 +309,6 @@ impl RecoverySupervisor {
         &self.stats
     }
 
-    /// Mutable stats access (the executor folds link-retry counters in).
-    pub fn stats_mut(&mut self) -> &mut ResilienceStats {
-        &mut self.stats
-    }
-
     /// Run one recovery episode: climb the ladder until `verify` reports
     /// the target healthy, escalating to manual intervention if nothing
     /// sticks. `verify` should attempt to park the target at its sync

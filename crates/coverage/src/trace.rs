@@ -202,7 +202,9 @@ mod tests {
     #[test]
     fn packets_split_across_chunk_boundaries_decode_identically() {
         let mut t = armed(4096);
-        let seq: Vec<u64> = (0..40).map(|i| (i as u64).wrapping_mul(0x9e37_79b9)).collect();
+        let seq: Vec<u64> = (0..40)
+            .map(|i| (i as u64).wrapping_mul(0x9e37_79b9))
+            .collect();
         for &id in &seq {
             t.emit(id, false);
         }

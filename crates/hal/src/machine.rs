@@ -157,11 +157,6 @@ impl Machine {
         self.last_fault.as_ref()
     }
 
-    /// Clear the recorded fault (after the host has harvested it).
-    pub fn clear_fault(&mut self) {
-        self.last_fault = None;
-    }
-
     /// Install a fault-injection plan (testing / ablation harnesses).
     ///
     /// Plan entries are measured from the moment the plan is armed, not
@@ -730,17 +725,6 @@ impl Machine {
         self.bus.charge_debug(cost::BP_OP);
         self.bus.trace.set_enabled(on);
         Ok(())
-    }
-
-    /// Scalar peek of the trace unit's drain header (used, capacity,
-    /// lost) without consuming the stream.
-    pub fn debug_trace_header(&mut self) -> Result<[u8; TRACE_HEADER_BYTES], HalError> {
-        if self.is_dead() {
-            return Err(self.bad_state("trace header"));
-        }
-        self.bus
-            .charge_debug(cost::MEM_BASE + (TRACE_HEADER_BYTES as u64 / 4) * cost::MEM_PER_WORD);
-        Ok(self.bus.trace.header())
     }
 
     /// Destructive trace drain: header first, then exactly the live

@@ -97,25 +97,6 @@ impl Ram {
         Ok(())
     }
 
-    /// Read a 16-bit value with the given byte order.
-    pub fn read_u16(&self, addr: u32, e: Endianness) -> Result<u16, HalError> {
-        let mut b = [0u8; 2];
-        self.read(addr, &mut b)?;
-        Ok(match e {
-            Endianness::Little => u16::from_le_bytes(b),
-            Endianness::Big => u16::from_be_bytes(b),
-        })
-    }
-
-    /// Write a 16-bit value with the given byte order.
-    pub fn write_u16(&mut self, addr: u32, v: u16, e: Endianness) -> Result<(), HalError> {
-        let b = match e {
-            Endianness::Little => v.to_le_bytes(),
-            Endianness::Big => v.to_be_bytes(),
-        };
-        self.write(addr, &b)
-    }
-
     /// Read a 32-bit value with the given byte order.
     pub fn read_u32(&self, addr: u32, e: Endianness) -> Result<u32, HalError> {
         let mut b = [0u8; 4];

@@ -47,4 +47,4 @@ pub use image::{
     build_image, image_plain, parse_image, parse_image_with, ImageInfo, OS_BASE_IMAGE_BYTES,
 };
 pub use kernel::{Kernel, OsKind};
-pub use registry::{make_kernel, supported_boards, SupportEntry};
+pub use registry::{make_kernel, supported_boards};

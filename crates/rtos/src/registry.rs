@@ -8,15 +8,6 @@ use crate::kernel::{Kernel, OsKind};
 use crate::os::{FreeRtosKernel, NuttxKernel, PokKernel, RtThreadKernel, ZephyrKernel};
 use eof_hal::{Arch, BoardCatalog, BoardSpec};
 
-/// One supported (OS, board) pairing.
-#[derive(Debug, Clone)]
-pub struct SupportEntry {
-    /// Operating system.
-    pub os: OsKind,
-    /// Board it is validated on.
-    pub board: BoardSpec,
-}
-
 /// Construct a kernel model for an OS.
 pub fn make_kernel(os: OsKind) -> Box<dyn Kernel> {
     match os {
@@ -54,18 +45,6 @@ pub fn supported_boards(os: OsKind) -> Vec<BoardSpec> {
         ],
         OsKind::PokOs => vec![BoardCatalog::stm32f4_disco(), BoardCatalog::qemu_virt_arm()],
     }
-}
-
-/// The full support matrix.
-pub fn support_matrix() -> Vec<SupportEntry> {
-    OsKind::ALL
-        .into_iter()
-        .flat_map(|os| {
-            supported_boards(os)
-                .into_iter()
-                .map(move |board| SupportEntry { os, board })
-        })
-        .collect()
 }
 
 /// Whether EOF supports an (OS, architecture) pair — a Table-1 cell.

@@ -58,7 +58,6 @@ enum SockState {
 
 #[derive(Debug, Clone)]
 struct Socket {
-    domain: u64,
     ty: u64,
     state: SockState,
     tx_bytes: u64,
@@ -122,7 +121,6 @@ impl SocketLayer {
         ctx.cov_var(site, 100 + self.open_count() as u64);
         ctx.cov_var(site, 110 + domain * 4 + ty);
         self.sockets.push(Socket {
-            domain,
             ty,
             state: SockState::Open,
             tx_bytes: 0,
@@ -230,14 +228,6 @@ impl SocketLayer {
         ctx.cov_var(site, 11);
         s.state = SockState::Closed;
         Ok(())
-    }
-
-    /// Domain of an open socket (used by log banners).
-    pub fn domain_of(&self, handle: u32) -> Option<u64> {
-        self.sockets
-            .get(handle as usize)
-            .filter(|s| s.state != SockState::Closed)
-            .map(|s| s.domain)
     }
 }
 

@@ -115,11 +115,6 @@ impl Scheduler {
         self.tick
     }
 
-    /// Number of live tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Total context switches performed.
     pub fn context_switches(&self) -> u64 {
         self.context_switches

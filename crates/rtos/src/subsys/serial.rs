@@ -156,14 +156,6 @@ impl SerialFramework {
         }
     }
 
-    /// Whether a device is currently open.
-    pub fn is_open(&self, handle: u32) -> bool {
-        self.devices
-            .get(handle as usize)
-            .map(|d| d.registered && d.opened)
-            .unwrap_or(false)
-    }
-
     /// Find a device handle by name (live devices only).
     pub fn find(&self, ctx: &mut ExecCtx<'_>, site: &'static str, name: &str) -> Option<u32> {
         ctx.charge(1);

@@ -43,11 +43,6 @@ pub enum TypeDesc {
 }
 
 impl TypeDesc {
-    /// Whether values of this type refer to a prior call's result.
-    pub fn is_resource(&self) -> bool {
-        matches!(self, TypeDesc::Resource { .. })
-    }
-
     /// The resource kind consumed, if any (looks through pointers).
     pub fn consumed_resource(&self) -> Option<&str> {
         match self {
@@ -160,12 +155,6 @@ impl SpecFile {
                 self.apis.push(api);
             }
         }
-    }
-
-    /// Total number of lines a textual rendering of this spec would take —
-    /// the paper reports spec sizes in lines (e.g. 203 lines for FreeRTOS).
-    pub fn line_count(&self) -> usize {
-        self.resources.len() + self.flags.len() + self.apis.len()
     }
 }
 
