@@ -1,6 +1,8 @@
 //! Baseline fuzzer configurations.
 
-use eof_core::config::{DetectionConfig, FuzzerConfig, GenerationMode, RecoveryConfig};
+use eof_core::config::{
+    DetectionConfig, FuzzerConfig, GenerationMode, LivenessChannel, RecoveryConfig,
+};
 use eof_coverage::InstrumentMode;
 use eof_hal::BoardCatalog;
 use eof_rtos::image::ImageProfile;
@@ -134,13 +136,9 @@ impl BaselineKind {
                 cfg.detection = DetectionConfig {
                     exception_breakpoints: true,
                     log_monitor: false,
-                    timeout_only_secs: None,
+                    liveness: LivenessChannel::PcStall,
                 };
-                cfg.recovery = RecoveryConfig {
-                    stall_watchdog: true,
-                    reflash: false,
-                    power_liveness: false,
-                };
+                cfg.recovery = RecoveryConfig::reboot_only();
             }
             BaselineKind::Shift => {
                 // Sanitizer coverage through semihosting (full
@@ -151,13 +149,9 @@ impl BaselineKind {
                 cfg.detection = DetectionConfig {
                     exception_breakpoints: true,
                     log_monitor: false,
-                    timeout_only_secs: None,
+                    liveness: LivenessChannel::PcStall,
                 };
-                cfg.recovery = RecoveryConfig {
-                    stall_watchdog: true,
-                    reflash: false,
-                    power_liveness: false,
-                };
+                cfg.recovery = RecoveryConfig::reboot_only();
             }
             _ => unreachable!(),
         }
@@ -201,7 +195,12 @@ mod tests {
         assert_eq!(eof.instrument, tardis.instrument);
         assert!(tardis.coverage_feedback);
         // Different monitors, recovery, substrate.
-        assert!(tardis.detection.timeout_only_secs.is_some());
+        assert_eq!(
+            tardis.detection.liveness,
+            LivenessChannel::Timeout {
+                secs: TARDIS_TIMEOUT_SECS
+            }
+        );
         assert!(!tardis.detection.exception_breakpoints);
         assert!(!tardis.recovery.reflash);
         assert!(tardis.exec_cost_multiplier > 1.0);

@@ -3,7 +3,7 @@
 //! Measures stalls recovered, throughput retained and coverage reached.
 
 use eof_bench::{bench_hours, bench_reps, run_config_set};
-use eof_core::config::{DetectionConfig, RecoveryConfig};
+use eof_core::config::LivenessChannel;
 use eof_core::FuzzerConfig;
 use eof_rtos::OsKind;
 
@@ -19,18 +19,9 @@ fn main() {
             let mut pc_cfg = FuzzerConfig::eof(os, 42);
             pc_cfg.budget_hours = hours;
             let mut pw_cfg = pc_cfg.clone();
-            pw_cfg.recovery = RecoveryConfig::power_based();
+            pw_cfg.detection.liveness = LivenessChannel::Power;
             let mut to_cfg = pc_cfg.clone();
-            to_cfg.detection = DetectionConfig {
-                exception_breakpoints: true,
-                log_monitor: true,
-                timeout_only_secs: Some(15),
-            };
-            to_cfg.recovery = RecoveryConfig {
-                stall_watchdog: false,
-                reflash: true,
-                power_liveness: false,
-            };
+            to_cfg.detection.liveness = LivenessChannel::Timeout { secs: 15 };
             [pc_cfg, pw_cfg, to_cfg]
         })
         .collect();

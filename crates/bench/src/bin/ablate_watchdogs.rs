@@ -3,7 +3,7 @@
 //! and throughput retained on the stall-heavy targets.
 
 use eof_bench::{bench_hours, bench_reps, run_config_set};
-use eof_core::config::{DetectionConfig, RecoveryConfig};
+use eof_core::config::LivenessChannel;
 use eof_core::FuzzerConfig;
 use eof_rtos::OsKind;
 
@@ -19,16 +19,7 @@ fn main() {
             let mut wd_cfg = FuzzerConfig::eof(os, 42);
             wd_cfg.budget_hours = hours;
             let mut to_cfg = wd_cfg.clone();
-            to_cfg.detection = DetectionConfig {
-                exception_breakpoints: true,
-                log_monitor: true,
-                timeout_only_secs: Some(15),
-            };
-            to_cfg.recovery = RecoveryConfig {
-                stall_watchdog: false,
-                reflash: true,
-                power_liveness: false,
-            };
+            to_cfg.detection.liveness = LivenessChannel::Timeout { secs: 15 };
             [wd_cfg, to_cfg]
         })
         .collect();

@@ -8,24 +8,11 @@
 //! reproduce bit-for-bit. Writes `BENCH_chaos.json` (repo root) with
 //! per-rung recovery counts and MTTR, plus the usual `results/chaos.*`.
 
+use eof_bench::env_or;
 use eof_core::chaos::{run_chaos, ChaosConfig, ChaosReport};
 use eof_core::supervisor::Rung;
 use eof_core::FuzzerConfig;
 use eof_rtos::OsKind;
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Cell {
     os: OsKind,
@@ -113,8 +100,8 @@ fn cell_json(cell: &Cell) -> String {
 }
 
 fn main() {
-    let hours = env_f64("EOF_CHAOS_HOURS", 2.0);
-    let faults = env_usize("EOF_CHAOS_FAULTS", 60);
+    let hours: f64 = env_or("EOF_CHAOS_HOURS", 2.0);
+    let faults: usize = env_or("EOF_CHAOS_FAULTS", 60);
     let oses = [OsKind::FreeRtos, OsKind::Zephyr, OsKind::NuttX];
     let chaos_seeds = [11u64, 23u64];
 

@@ -11,6 +11,7 @@
 //! cores), `EOF_FABRIC_FAULTS` (default 4 chaos faults) and
 //! `EOF_FABRIC_SEED` (default 23, the chaos schedule seed).
 
+use eof_bench::env_or;
 use eof_core::fabric::{advance_cell, slice_target_hours};
 use eof_core::{
     diff_against_serial, fabric_chaos_plan, fabric_grid, run_fabric, run_serial, FabricConfig,
@@ -19,27 +20,6 @@ use eof_core::{
 use eof_rtos::OsKind;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 const OSES: [OsKind; 4] = [
     OsKind::FreeRtos,
@@ -327,12 +307,12 @@ fn main() {
         child_main(&spec);
     }
 
-    let hours = env_f64("EOF_FABRIC_HOURS", 0.06);
+    let hours: f64 = env_or("EOF_FABRIC_HOURS", 0.06);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let requested_workers = env_usize("EOF_FABRIC_WORKERS", 4);
+    let requested_workers: usize = env_or("EOF_FABRIC_WORKERS", 4);
     let workers = requested_workers.min(host_cores).max(1);
-    let faults = env_usize("EOF_FABRIC_FAULTS", 4);
-    let chaos_seed = env_u64("EOF_FABRIC_SEED", 23);
+    let faults: usize = env_or("EOF_FABRIC_FAULTS", 4);
+    let chaos_seed: u64 = env_or("EOF_FABRIC_SEED", 23);
     let root = std::env::temp_dir().join(format!("eof-bench-fabric-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 

@@ -8,24 +8,10 @@
 //! `EOF_FLEET_REPS` (default 3 repetitions per cell).
 
 use eof_baselines::BaselineKind;
-use eof_bench::rep_configs;
+use eof_bench::{env_or, rep_configs};
 use eof_core::{artifacts, cache_stats, CacheStats, CampaignResult, FleetRunner, FuzzerConfig};
 use eof_rtos::OsKind;
 use std::time::Instant;
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Figure-7-shaped batch: four OS × fuzzer cells, several repetitions
 /// each — the workload every table in the harness generalises.
@@ -93,8 +79,8 @@ fn phase_summary(results: &[CampaignResult]) -> Option<eof_telemetry::TelemetryS
 }
 
 fn main() {
-    let hours = env_f64("EOF_FLEET_HOURS", 0.25);
-    let reps = env_usize("EOF_FLEET_REPS", 3);
+    let hours: f64 = env_or("EOF_FLEET_HOURS", 0.25);
+    let reps: usize = env_or("EOF_FLEET_REPS", 3);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // What the environment asked for vs what the host can actually run
     // in parallel: oversubscribing cores never measures scaling, so the

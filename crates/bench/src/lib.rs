@@ -33,18 +33,21 @@ use std::sync::Mutex;
 
 /// Simulated hours per campaign (default: the paper's 24).
 pub fn bench_hours() -> f64 {
-    std::env::var("EOF_BENCH_HOURS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24.0)
+    env_or("EOF_BENCH_HOURS", 24.0)
 }
 
 /// Repetitions per configuration (default: the paper's 5).
 pub fn bench_reps() -> usize {
-    std::env::var("EOF_BENCH_REPS")
+    env_or("EOF_BENCH_REPS", 5)
+}
+
+/// The environment knob `name` parsed as a `T`, or `default` when it is
+/// unset or does not parse.
+pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(5)
+        .unwrap_or(default)
 }
 
 /// The `rep`'th variation of a base configuration. The seed schedule is

@@ -52,6 +52,24 @@ pub enum GenerationMode {
     RandomBytes,
 }
 
+/// How a campaign notices a degraded target. Exactly one channel is
+/// live per campaign; the executor's slice cap backstops every one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LivenessChannel {
+    /// Algorithm 1's host-side watchdog over the debug link: connection
+    /// timeout and PC stall (EOF, GDBFuzz, SHIFT).
+    PcStall,
+    /// Power-rail plateau and idle-draw detection, which never touches
+    /// the debug link (the paper's §6 extension).
+    Power,
+    /// A bare timeout with this many simulated seconds of patience
+    /// (Tardis, Gustave).
+    Timeout {
+        /// Patience per execution, in simulated seconds.
+        secs: u64,
+    },
+}
+
 /// Which bug/state detectors a fuzzer has.
 #[derive(Debug, Clone, Copy)]
 pub struct DetectionConfig {
@@ -59,9 +77,8 @@ pub struct DetectionConfig {
     pub exception_breakpoints: bool,
     /// UART log signature scanning.
     pub log_monitor: bool,
-    /// Timeout-only hang detection with this many simulated seconds of
-    /// patience (`None` = use the PC-stall watchdog instead).
-    pub timeout_only_secs: Option<u64>,
+    /// How a stalled or dead target is noticed.
+    pub liveness: LivenessChannel,
 }
 
 impl DetectionConfig {
@@ -70,7 +87,7 @@ impl DetectionConfig {
         DetectionConfig {
             exception_breakpoints: true,
             log_monitor: true,
-            timeout_only_secs: None,
+            liveness: LivenessChannel::PcStall,
         }
     }
 
@@ -79,7 +96,7 @@ impl DetectionConfig {
         DetectionConfig {
             exception_breakpoints: false,
             log_monitor: false,
-            timeout_only_secs: Some(secs),
+            liveness: LivenessChannel::Timeout { secs },
         }
     }
 }
@@ -87,41 +104,19 @@ impl DetectionConfig {
 /// How degraded states are recovered.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryConfig {
-    /// Host-side PC-stall watchdog (Algorithm 1's second check).
-    pub stall_watchdog: bool,
     /// Full reflash on unrecoverable state (vs reboot only).
     pub reflash: bool,
-    /// Power-rail plateau detection as the stall channel (the paper's §6
-    /// extension; used when the PC-stall watchdog is off or alongside it).
-    pub power_liveness: bool,
 }
 
 impl RecoveryConfig {
-    /// EOF's recovery: watchdogs + reflash.
+    /// EOF's recovery: the full ladder, reflash included.
     pub fn eof() -> Self {
-        RecoveryConfig {
-            stall_watchdog: true,
-            reflash: true,
-            power_liveness: false,
-        }
+        RecoveryConfig { reflash: true }
     }
 
     /// Reboot-only recovery (emulator snapshot-style).
     pub fn reboot_only() -> Self {
-        RecoveryConfig {
-            stall_watchdog: false,
-            reflash: false,
-            power_liveness: false,
-        }
-    }
-
-    /// The §6 extension: power-rail liveness instead of PC polling.
-    pub fn power_based() -> Self {
-        RecoveryConfig {
-            stall_watchdog: false,
-            reflash: true,
-            power_liveness: true,
-        }
+        RecoveryConfig { reflash: false }
     }
 }
 
@@ -313,7 +308,7 @@ mod tests {
         assert!(c.coverage_feedback);
         assert!(c.detection.exception_breakpoints);
         assert!(c.detection.log_monitor);
-        assert!(c.detection.timeout_only_secs.is_none());
+        assert_eq!(c.detection.liveness, LivenessChannel::PcStall);
         assert!(c.recovery.reflash);
         assert_eq!(c.budget_hours, 24.0);
     }
@@ -355,7 +350,7 @@ mod tests {
         assert!(!c.crash_feedback);
         // Everything else identical to EOF.
         assert!(c.detection.exception_breakpoints);
-        assert!(c.recovery.stall_watchdog);
+        assert_eq!(c.detection.liveness, LivenessChannel::PcStall);
         assert_eq!(c.gen_mode, GenerationMode::ApiAware);
     }
 }

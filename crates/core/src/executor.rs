@@ -4,10 +4,11 @@
 //! the paper's Figure 4: it parks the target at `executor_main()`,
 //! writes the encoded prog into the agent's buffer, resumes, services
 //! `_kcmp_buf_full` drains, classifies exception halts, catches stalls
-//! with the liveness watchdogs (or a bare timeout, for the baselines),
-//! and restores the target when it degrades.
+//! over the campaign's liveness channel (the PC-stall watchdog, the
+//! power rail, or a bare timeout for the baselines), and restores the
+//! target when it degrades.
 
-use crate::config::FuzzerConfig;
+use crate::config::{FuzzerConfig, LivenessChannel};
 use crate::crash::{triage, CrashReport, DetectionSource};
 use crate::supervisor::{RecoveryReason, RecoverySupervisor, ResilienceStats};
 use eof_agent::AgentLayout;
@@ -19,7 +20,8 @@ use eof_dap::{DebugTransport, LinkEvent, RetryPolicy, RetryStats, Txn, TxnResult
 use eof_hal::clock::{secs_to_cycles, CYCLES_PER_SEC};
 use eof_hal::Endianness;
 use eof_monitors::{
-    parse_backtrace, Liveness, LivenessWatchdog, LogMonitor, PowerWatchdog, StateRestoration,
+    parse_backtrace, Liveness, LivenessWatchdog, LogHit, LogMonitor, PatternSet, PowerWatchdog,
+    StateRestoration,
 };
 use eof_speclang::prog::Prog;
 use eof_speclang::wire::{encode_prog, ApiTable, WireOrder};
@@ -28,7 +30,8 @@ use eof_telemetry as tel;
 /// Budget for one `continue` slice, in cycles.
 const SLICE_CYCLES: u64 = 2_000;
 
-/// Maximum slices per execution before the stall machinery engages hard.
+/// Maximum slices per execution before the stall machinery engages
+/// hard: the backstop behind every liveness channel.
 const MAX_SLICES: u32 = 24;
 
 /// Cycle threshold above which an execution is journalled as slow
@@ -64,6 +67,102 @@ pub struct ExecOutcome {
     pub cov_partial: bool,
 }
 
+/// The campaign's liveness channel with the state its checks keep.
+enum LivenessMonitor {
+    /// Algorithm 1's PC-stall watchdog (`LastPC`).
+    PcStall(LivenessWatchdog),
+    /// The power-rail watchdog.
+    Power(PowerWatchdog),
+    /// A bare timeout: patience per execution, in cycles.
+    Timeout { patience: u64 },
+}
+
+impl LivenessMonitor {
+    fn for_channel(channel: LivenessChannel) -> Self {
+        match channel {
+            LivenessChannel::PcStall => LivenessMonitor::PcStall(LivenessWatchdog::new()),
+            LivenessChannel::Power => LivenessMonitor::Power(PowerWatchdog::new()),
+            LivenessChannel::Timeout { secs } => LivenessMonitor::Timeout {
+                patience: secs_to_cycles(secs),
+            },
+        }
+    }
+}
+
+/// Where in the slice loop the liveness channel is consulted.
+#[derive(Clone, Copy)]
+enum Checkpoint {
+    /// The core keeps re-halting in the exception handler after the
+    /// crash was reported.
+    InHandler,
+    /// A slice ran out of budget without reaching a breakpoint.
+    StillRunning,
+}
+
+/// How a degraded exit attributes a crash from the UART.
+#[derive(Clone, Copy)]
+enum Attribution {
+    /// None: nothing to attribute, or the exception monitor already did.
+    None,
+    /// The log monitor's first matched line (when the campaign has one).
+    LogMonitor,
+    /// Offline triage of the last crash-looking UART line, the way
+    /// timeout-only tools do it.
+    TimeoutTriage,
+}
+
+/// One degraded way out of the slice loop. The exits differ only in
+/// these knobs; [`Executor::degraded_exit`] acts on them.
+#[derive(Clone, Copy)]
+struct DegradedExit {
+    /// Drain coverage before recovery resets the buffer.
+    drain: bool,
+    /// How a crash is attributed.
+    attribution: Attribution,
+    /// The target died or the link dropped: flagged lost, not counted
+    /// as a stall event.
+    lost: bool,
+    /// Where the recovery ladder starts.
+    reason: RecoveryReason,
+}
+
+impl DegradedExit {
+    /// More than [`MAX_SLICES`] slices: a pathologically long execution.
+    const SLICE_CAP: Self = Self::stall(false, Attribution::None);
+    /// Still parked in the exception handler when the channel declares
+    /// the hang.
+    const HANDLER_STALL: Self = Self::stall(true, Attribution::None);
+    /// The power rail shows a plateau or idle draw.
+    const POWER: Self = Self::stall(false, Attribution::LogMonitor);
+    /// The timeout's patience ran out.
+    const TIMEOUT: Self = Self::stall(true, Attribution::TimeoutTriage);
+    /// The core died or the link dropped for good.
+    const DEAD: Self = DegradedExit {
+        drain: false,
+        attribution: Attribution::None,
+        lost: true,
+        reason: RecoveryReason::ConnectionLoss,
+    };
+
+    /// The PC watchdog's verdict: Algorithm 1 distinguishes a
+    /// connection timeout from a PC stall, and so does the ladder.
+    const fn pc_watchdog(reason: RecoveryReason) -> Self {
+        DegradedExit {
+            reason,
+            ..Self::stall(true, Attribution::LogMonitor)
+        }
+    }
+
+    const fn stall(drain: bool, attribution: Attribution) -> Self {
+        DegradedExit {
+            drain,
+            attribution,
+            lost: false,
+            reason: RecoveryReason::Stall,
+        }
+    }
+}
+
 /// The host-side executor bound to one probe session.
 pub struct Executor {
     transport: DebugTransport,
@@ -75,8 +174,7 @@ pub struct Executor {
     buf_full_addr: u32,
     exception_addr: Option<u32>,
     log_monitor: LogMonitor,
-    watchdog: LivenessWatchdog,
-    power_watchdog: PowerWatchdog,
+    liveness: LivenessMonitor,
     restoration: StateRestoration,
     supervisor: RecoverySupervisor,
     retry: RetryPolicy,
@@ -158,6 +256,7 @@ impl Executor {
             }
         };
         let supervisor = RecoverySupervisor::for_policy(&config.recovery);
+        let liveness = LivenessMonitor::for_channel(config.detection.liveness);
         let mut restoration = restoration;
         restoration.set_vectored(config.vectored);
         restoration.set_snapshot_mode(config.snapshot);
@@ -171,8 +270,7 @@ impl Executor {
             buf_full_addr,
             exception_addr,
             log_monitor: LogMonitor::new(),
-            watchdog: LivenessWatchdog::new(),
-            power_watchdog: PowerWatchdog::new(),
+            liveness,
             restoration,
             supervisor,
             retry: RetryPolicy::default(),
@@ -348,7 +446,9 @@ impl Executor {
                     Self::park_at_main(pipe, main_addr)
                 });
         self.at_main = outcome.parked;
-        self.watchdog.reset();
+        if let LivenessMonitor::PcStall(watchdog) = &mut self.liveness {
+            watchdog.reset();
+        }
         // Whatever rung acted, the device side of the coverage stream
         // was quiesced (reset, restore and power-cycle all flush the
         // trace FIFO; a reboot re-arms the ring): drop the host
@@ -556,6 +656,109 @@ impl Executor {
         }
     }
 
+    /// Attribute a crash to the log monitor's matched line.
+    fn log_crash(&mut self, hit: &LogHit, prog: &Prog) -> CrashReport {
+        let mut report = self.crash_from_banner(DetectionSource::LogMonitor, prog);
+        report.message = hit.line.clone();
+        report.bug = triage(self.config.os, &hit.line, &report.backtrace).or(report.bug);
+        report
+    }
+
+    /// Offline triage of whatever the UART holds, the way timeout-only
+    /// tools work: the last crash-looking line, if any.
+    fn timeout_triage(&self, prog: &Prog) -> Option<CrashReport> {
+        let tail = self.log_monitor.tail();
+        let patterns = PatternSet::default_crash_patterns();
+        let line = tail
+            .iter()
+            .rev()
+            .find(|l| patterns.first_match(l).is_some())?;
+        let backtrace = parse_backtrace(tail);
+        Some(CrashReport {
+            os: self.config.os,
+            message: line.clone(),
+            bug: triage(self.config.os, line, &backtrace),
+            backtrace,
+            source: DetectionSource::Timeout,
+            prog: prog.clone(),
+            at_hours: self.now_hours(),
+        })
+    }
+
+    /// Algorithm 1's liveness decision at one checkpoint of the slice
+    /// loop: consult the campaign's channel and return the degraded exit
+    /// to take, or `None` to keep running.
+    fn liveness_verdict(&mut self, at: Checkpoint, start: u64) -> Option<DegradedExit> {
+        let pipe = &mut self.transport;
+        match (&mut self.liveness, at) {
+            // The PC has provably not left the handler across three
+            // resumes.
+            (LivenessMonitor::PcStall(_), Checkpoint::InHandler) => {
+                Some(DegradedExit::HANDLER_STALL)
+            }
+            (LivenessMonitor::PcStall(watchdog), Checkpoint::StillRunning) => {
+                match watchdog.check(pipe) {
+                    Liveness::Alive => None,
+                    Liveness::Stalled { .. } => {
+                        Some(DegradedExit::pc_watchdog(RecoveryReason::Stall))
+                    }
+                    Liveness::ConnectionTimeout => {
+                        Some(DegradedExit::pc_watchdog(RecoveryReason::ConnectionLoss))
+                    }
+                }
+            }
+            // The current probe spots plateaus (spin loops) and idle
+            // draw (dead core) without touching the debug link.
+            (LivenessMonitor::Power(watchdog), at) => watchdog
+                .check(pipe)
+                .is_liveness_issue()
+                .then_some(match at {
+                    Checkpoint::InHandler => DegradedExit::HANDLER_STALL,
+                    Checkpoint::StillRunning => DegradedExit::POWER,
+                }),
+            // Keep burning slices until the patience runs out.
+            (LivenessMonitor::Timeout { patience }, at) => (pipe.now() - start >= *patience)
+                .then_some(match at {
+                    Checkpoint::InHandler => DegradedExit::HANDLER_STALL,
+                    Checkpoint::StillRunning => DegradedExit::TIMEOUT,
+                }),
+        }
+    }
+
+    /// Leave the slice loop through a degraded exit: drain coverage if
+    /// the exit keeps it, harvest the UART, attribute a crash, count the
+    /// stall (or flag the target lost) and run one recovery episode.
+    fn degraded_exit(
+        &mut self,
+        exit: DegradedExit,
+        prog: &Prog,
+        outcome: &mut ExecOutcome,
+        edges: &mut Vec<u64>,
+    ) {
+        if exit.lost {
+            outcome.target_lost = true;
+        } else {
+            self.stall_events += 1;
+        }
+        outcome.stalled = true;
+        if exit.drain {
+            edges.extend(self.drain(false).0);
+        }
+        let hits = self.scan_uart();
+        let crash = match exit.attribution {
+            Attribution::LogMonitor if self.config.detection.log_monitor => {
+                hits.first().map(|hit| self.log_crash(hit, prog))
+            }
+            Attribution::TimeoutTriage => self.timeout_triage(prog),
+            Attribution::LogMonitor | Attribution::None => None,
+        };
+        if crash.is_some() {
+            outcome.crash = crash;
+        }
+        self.recover(exit.reason);
+        outcome.restored = true;
+    }
+
     /// Execute one prog. This is the body of the fuzzing loop.
     pub fn run_one(&mut self, prog: &Prog) -> ExecOutcome {
         let span = tel::span_start("exec", self.transport.now());
@@ -632,16 +835,10 @@ impl Executor {
         let mut crashed_this_exec = false;
         let mut parked_hits = 0u32;
         let mut slices = 0u32;
-        loop {
+        let degraded = loop {
             slices += 1;
             if slices > MAX_SLICES {
-                // Pathologically long execution: treat as degraded.
-                self.stall_events += 1;
-                outcome.stalled = true;
-                let _ = self.scan_uart();
-                self.recover(RecoveryReason::Stall);
-                outcome.restored = true;
-                break;
+                break Some(DegradedExit::SLICE_CAP);
             }
             // Transient link errors on the continue are retried at the
             // link layer (re-issuing a resume is idempotent); only a
@@ -653,11 +850,10 @@ impl Executor {
                 Ok(LinkEvent::BreakpointHit { pc }) if pc == self.main_addr => {
                     // Prog finished.
                     self.at_main = true;
-                    break;
+                    break None;
                 }
                 Ok(LinkEvent::BreakpointHit { pc }) if pc == self.buf_full_addr => {
                     all_edges.extend(self.drain(false).0);
-                    continue;
                 }
                 Ok(LinkEvent::BreakpointHit { pc })
                     if Some(pc) == self.exception_addr && !crashed_this_exec =>
@@ -682,155 +878,35 @@ impl Executor {
                     all_edges.extend(self.drain(false).0);
                     let report = self.crash_from_banner(DetectionSource::ExceptionMonitor, prog);
                     outcome.crash = Some(report);
-                    continue;
                 }
                 Ok(LinkEvent::BreakpointHit { pc }) if Some(pc) == self.exception_addr => {
                     // Still parked in the handler after reporting. A
                     // recoverable fault walks out within a couple of
-                    // resumes; a hanging one never does — apply the
-                    // configured liveness channel to decide how fast the
-                    // campaign notices.
+                    // resumes; a hanging one never does — the liveness
+                    // channel decides how fast the campaign notices.
                     parked_hits += 1;
-                    if parked_hits < 3 {
-                        continue;
+                    if parked_hits >= 3 {
+                        if let Some(exit) = self.liveness_verdict(Checkpoint::InHandler, start) {
+                            break Some(exit);
+                        }
                     }
-                    let declare = if self.config.recovery.stall_watchdog {
-                        // Algorithm 1's PC check: the PC has provably not
-                        // left the handler across three resumes.
-                        true
-                    } else if self.config.recovery.power_liveness {
-                        self.power_watchdog
-                            .check(&mut self.transport)
-                            .is_liveness_issue()
-                    } else if let Some(secs) = self.config.detection.timeout_only_secs {
-                        self.transport.now() - start >= secs_to_cycles(secs)
-                    } else {
-                        false
-                    };
-                    if declare {
-                        self.stall_events += 1;
-                        outcome.stalled = true;
-                        all_edges.extend(self.drain(false).0);
-                        let _ = self.scan_uart();
-                        self.recover(RecoveryReason::Stall);
-                        outcome.restored = true;
-                        break;
-                    }
-                    continue;
                 }
-                Ok(LinkEvent::BreakpointHit { .. }) => continue,
+                Ok(LinkEvent::BreakpointHit { .. }) => {}
                 Ok(LinkEvent::WatchdogReset) => {
                     outcome.stalled = true;
                     self.at_main = false;
-                    break;
+                    break None;
                 }
                 Ok(LinkEvent::StillRunning) => {
-                    if self.config.recovery.power_liveness && !self.config.recovery.stall_watchdog {
-                        // §6 extension: the current probe spots plateaus
-                        // (spin loops) and idle draw (dead core) without
-                        // touching the debug link.
-                        if self
-                            .power_watchdog
-                            .check(&mut self.transport)
-                            .is_liveness_issue()
-                        {
-                            self.stall_events += 1;
-                            outcome.stalled = true;
-                            let hits = self.scan_uart();
-                            if self.config.detection.log_monitor {
-                                if let Some(hit) = hits.first() {
-                                    let mut report =
-                                        self.crash_from_banner(DetectionSource::LogMonitor, prog);
-                                    report.message = hit.line.clone();
-                                    report.bug =
-                                        triage(self.config.os, &hit.line, &report.backtrace)
-                                            .or(report.bug);
-                                    outcome.crash = Some(report);
-                                }
-                            }
-                            self.recover(RecoveryReason::Stall);
-                            outcome.restored = true;
-                            break;
-                        }
-                        continue;
-                    }
-                    if self.config.recovery.stall_watchdog {
-                        match self.watchdog.check(&mut self.transport) {
-                            Liveness::Alive => continue,
-                            verdict @ (Liveness::Stalled { .. } | Liveness::ConnectionTimeout) => {
-                                self.stall_events += 1;
-                                outcome.stalled = true;
-                                all_edges.extend(self.drain(false).0);
-                                let hits = self.scan_uart();
-                                if self.config.detection.log_monitor {
-                                    if let Some(hit) = hits.first() {
-                                        let mut report = self
-                                            .crash_from_banner(DetectionSource::LogMonitor, prog);
-                                        report.message = hit.line.clone();
-                                        report.bug =
-                                            triage(self.config.os, &hit.line, &report.backtrace)
-                                                .or(report.bug);
-                                        outcome.crash = Some(report);
-                                    }
-                                }
-                                // Algorithm 1 distinguishes the two
-                                // liveness failures; so does the ladder.
-                                let reason = match verdict {
-                                    Liveness::ConnectionTimeout => RecoveryReason::ConnectionLoss,
-                                    _ => RecoveryReason::Stall,
-                                };
-                                self.recover(reason);
-                                outcome.restored = true;
-                                break;
-                            }
-                        }
-                    } else if let Some(secs) = self.config.detection.timeout_only_secs {
-                        // Timeout-only liveness: keep burning slices until
-                        // the patience runs out.
-                        if self.transport.now() - start >= secs_to_cycles(secs) {
-                            self.stall_events += 1;
-                            outcome.stalled = true;
-                            all_edges.extend(self.drain(false).0);
-                            // Offline triage of whatever the UART holds.
-                            let _ = self.scan_uart();
-                            let tail = self.log_monitor.tail().to_vec();
-                            let crash_line = tail.iter().rev().find(|l| {
-                                eof_monitors::PatternSet::default_crash_patterns()
-                                    .first_match(l)
-                                    .is_some()
-                            });
-                            if let Some(line) = crash_line {
-                                let backtrace = parse_backtrace(&tail);
-                                let bug = triage(self.config.os, line, &backtrace);
-                                outcome.crash = Some(CrashReport {
-                                    os: self.config.os,
-                                    message: line.clone(),
-                                    backtrace,
-                                    source: DetectionSource::Timeout,
-                                    prog: prog.clone(),
-                                    at_hours: self.now_hours(),
-                                    bug,
-                                });
-                            }
-                            self.recover(RecoveryReason::Stall);
-                            outcome.restored = true;
-                            break;
-                        }
-                        continue;
-                    } else {
-                        // No stall detection at all: rely on MAX_SLICES.
-                        continue;
+                    if let Some(exit) = self.liveness_verdict(Checkpoint::StillRunning, start) {
+                        break Some(exit);
                     }
                 }
-                Ok(LinkEvent::TargetDead) | Err(_) => {
-                    outcome.target_lost = true;
-                    outcome.stalled = true;
-                    let _ = self.scan_uart();
-                    self.recover(RecoveryReason::ConnectionLoss);
-                    outcome.restored = true;
-                    break;
-                }
+                Ok(LinkEvent::TargetDead) | Err(_) => break Some(DegradedExit::DEAD),
             }
+        };
+        if let Some(exit) = degraded {
+            self.degraded_exit(exit, prog, &mut outcome, &mut all_edges);
         }
 
         // Final drain (healthy completion path). The operand ring rides
@@ -847,10 +923,7 @@ impl Executor {
         let hits = self.scan_uart();
         if self.config.detection.log_monitor && outcome.crash.is_none() {
             if let Some(hit) = hits.first() {
-                let mut report = self.crash_from_banner(DetectionSource::LogMonitor, prog);
-                report.message = hit.line.clone();
-                report.bug = triage(self.config.os, &hit.line, &report.backtrace).or(report.bug);
-                outcome.crash = Some(report);
+                outcome.crash = Some(self.log_crash(hit, prog));
             }
         }
 
@@ -1036,6 +1109,35 @@ mod tests {
         });
         assert!(out2.crash.is_none(), "{:?}", out2.crash);
         assert!(e.restorations() >= 1);
+    }
+
+    #[test]
+    fn power_channel_declares_hanging_bug_and_restores() {
+        let mut cfg = FuzzerConfig::eof(OsKind::RtThread, 3);
+        cfg.detection.liveness = LivenessChannel::Power;
+        let mut e = executor_for(cfg);
+        // Bug #8 asserts and then spins: the rail shows a plateau.
+        let prog = Prog {
+            mmio: vec![],
+            calls: vec![call(
+                "rt_object_init",
+                vec![ArgValue::Int(6), ArgValue::CString(String::new())],
+            )],
+        };
+        let out = e.run_one(&prog);
+        assert!(out.stalled);
+        assert!(out.restored);
+        assert_eq!(e.stall_events(), 1);
+        let crash = out.crash.expect("crash attributed");
+        assert_eq!(crash.source, DetectionSource::LogMonitor);
+        assert_eq!(crash.bug.map(|b| b.number()), Some(8));
+        // Target restored and fuzzing continues.
+        let out2 = e.run_one(&Prog {
+            mmio: vec![],
+            calls: vec![call("rt_malloc", vec![ArgValue::Int(64)])],
+        });
+        assert!(out2.crash.is_none(), "{:?}", out2.crash);
+        assert!(!out2.stalled);
     }
 
     #[test]
@@ -1318,6 +1420,7 @@ mod tests {
     #[test]
     fn timeout_only_misses_recoverable_bug() {
         let mut cfg = FuzzerConfig::eof(OsKind::FreeRtos, 6);
+        // The timeout is the only liveness channel: no PC watchdog runs.
         cfg.detection = DetectionConfig::timeout_only(10);
         let mut e = executor_for(cfg);
         // Bug #13 does not hang: without exception breakpoints it is

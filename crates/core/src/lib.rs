@@ -77,7 +77,7 @@ pub use campaign::{
 };
 pub use chaos::{chaos_plan, run_chaos, ChaosConfig, ChaosReport};
 pub use cmplog::{CmpJournal, MutOp, OpScheduler};
-pub use config::{DetectionConfig, FuzzerConfig, GenerationMode, RecoveryConfig};
+pub use config::{DetectionConfig, FuzzerConfig, GenerationMode, LivenessChannel, RecoveryConfig};
 pub use corpus::{Corpus, Seed};
 pub use crash::{triage, CrashDb, CrashReport, DetectionSource};
 pub use executor::{ExecOutcome, Executor};

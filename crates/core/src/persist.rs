@@ -25,7 +25,7 @@
 //! Layout: `<dir>/manifest.eof`, `<dir>/corpus/<hash>.seed`,
 //! `<dir>/crashes/<key-hash>.crash`, `<dir>/coverage`.
 
-use crate::config::FuzzerConfig;
+use crate::config::{FuzzerConfig, LivenessChannel};
 use crate::crash::{dedup_key, CrashReport, DetectionSource};
 use eof_coverage::CoverageKind;
 use eof_rtos::OsKind;
@@ -58,9 +58,28 @@ pub fn config_fingerprint(config: &FuzzerConfig) -> u64 {
 }
 
 fn config_canonical(config: &FuzzerConfig) -> String {
+    // The detector and recovery knobs render as the `Debug` text of the
+    // structs that held the liveness channel as three separate fields
+    // (`timeout_only_secs`, `stall_watchdog`, `power_liveness`), so
+    // every store keeps the fingerprint it was written under.
+    let (detection, liveness) = (&config.detection, config.detection.liveness);
+    let timeout_secs = match liveness {
+        LivenessChannel::Timeout { secs } => Some(secs),
+        LivenessChannel::PcStall | LivenessChannel::Power => None,
+    };
+    let detect = format!(
+        "DetectionConfig {{ exception_breakpoints: {}, log_monitor: {}, timeout_only_secs: {:?} }}",
+        detection.exception_breakpoints, detection.log_monitor, timeout_secs,
+    );
+    let recover = format!(
+        "RecoveryConfig {{ stall_watchdog: {}, reflash: {}, power_liveness: {} }}",
+        liveness == LivenessChannel::PcStall,
+        config.recovery.reflash,
+        liveness == LivenessChannel::Power,
+    );
     let mut canon = format!(
         "schema={SCHEMA_VERSION};os={};osver={};board={};seed={};covfb={};crashfb={};gen={:?};\
-         instr={:?};profile={:?};detect={:?};recover={:?};covfrac={:e};costmul={:e};maxcalls={};\
+         instr={:?};profile={:?};detect={detect};recover={recover};covfrac={:e};costmul={:e};maxcalls={};\
          noise={:?};validation={};modules={:?};periph={};nopseudo={}",
         config.os.short(),
         config.os.version(),
@@ -71,8 +90,6 @@ fn config_canonical(config: &FuzzerConfig) -> String {
         config.gen_mode,
         config.instrument,
         config.profile,
-        config.detection,
-        config.recovery,
         config.cov_observe_fraction,
         config.exec_cost_multiplier,
         config.max_calls,

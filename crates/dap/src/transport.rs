@@ -261,16 +261,6 @@ impl DebugTransport {
         self.record_op("ping", |t| t.begin_op(8))
     }
 
-    /// Link-only probe: succeeds iff the debug LINK answers, regardless
-    /// of core state — the IDCODE read a probe tool fires before doing
-    /// anything else. A dead core still acks on the link lines (that is
-    /// what reset and flash recovery rely on), so this distinguishes "the
-    /// wire is the problem" from "the target is the problem" at
-    /// register-read cost.
-    pub fn probe_link(&mut self) -> Result<(), DapError> {
-        self.record_op("probe_link", |t| t.begin_link_op())
-    }
-
     /// Halt the core.
     pub fn halt(&mut self) -> Result<(), DapError> {
         self.record_op("halt", |t| {

@@ -8,7 +8,6 @@
 //! then reboots and waits the settle delay (`sleep(5s)`, line 19).
 
 use crate::kconfig::KConfig;
-use crate::watchdog::LivenessWatchdog;
 use eof_dap::{DapError, DebugTransport, Txn, TxnResult};
 use eof_hal::clock::secs_to_cycles;
 use eof_hal::flash::{fnv1a, sector_checksums_of, ERASED, SECTOR_SIZE};
@@ -275,22 +274,6 @@ impl StateRestoration {
             .collect()
     }
 
-    /// Algorithm 1 lines 14–19: if the watchdog says the target is not
-    /// alive, reflash every partition, reboot and settle. Returns whether
-    /// a restoration was performed.
-    pub fn restore_if_needed(
-        &mut self,
-        watchdog: &mut LivenessWatchdog,
-        pipe: &mut DebugTransport,
-    ) -> Result<bool, DapError> {
-        if watchdog.check(pipe).is_alive() {
-            return Ok(false);
-        }
-        self.restore(pipe)?;
-        watchdog.reset();
-        Ok(true)
-    }
-
     /// Cheap preflight before any reflash traffic: one read of the
     /// flash controller's generation register proves the flash port
     /// answers at all. A browned-out or hard-locked board refuses
@@ -465,6 +448,7 @@ impl StateRestoration {
 mod tests {
     use super::*;
     use crate::kconfig::{parse_kconfig, render_kconfig};
+    use crate::watchdog::LivenessWatchdog;
     use eof_agent::{agent_loader, boot_machine};
     use eof_coverage::InstrumentMode;
     use eof_dap::LinkConfig;
@@ -494,16 +478,6 @@ mod tests {
             restoration,
             DebugTransport::attach(m, LinkConfig::default()),
         )
-    }
-
-    #[test]
-    fn healthy_target_is_left_alone() {
-        let (mut resto, mut t) = setup();
-        let mut w = LivenessWatchdog::new();
-        let _ = t.continue_until_halt(200);
-        let did = resto.restore_if_needed(&mut w, &mut t).unwrap();
-        assert!(!did);
-        assert_eq!(resto.restorations(), 0);
     }
 
     #[test]
@@ -544,8 +518,7 @@ mod tests {
             .unwrap();
         t.reset_target().unwrap();
         assert!(t.read_pc().is_err());
-        let mut w = LivenessWatchdog::new();
-        assert!(resto.restore_if_needed(&mut w, &mut t).unwrap());
+        resto.restore(&mut t).unwrap();
         assert!(t.read_pc().is_ok());
     }
 

@@ -53,7 +53,7 @@ pub use eof_speclang as speclang;
 pub mod prelude {
     pub use eof_agent::{agent_loader, api_table_of, boot_machine, AgentLayout};
     pub use eof_baselines::BaselineKind;
-    pub use eof_core::config::{DetectionConfig, GenerationMode, RecoveryConfig};
+    pub use eof_core::config::{DetectionConfig, GenerationMode, LivenessChannel, RecoveryConfig};
     pub use eof_core::report::write_campaign_report;
     pub use eof_core::{
         diff_against_serial, fabric_chaos_plan, fabric_grid, run_fabric, run_serial,
