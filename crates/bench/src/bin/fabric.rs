@@ -12,7 +12,7 @@
 //! `EOF_FABRIC_SEED` (default 23, the chaos schedule seed).
 
 use eof_bench::env_or;
-use eof_core::fabric::{advance_cell, slice_target_hours};
+use eof_core::fabric::{advance_cell, slice_target_hours, LEASE_ROUNDS};
 use eof_core::{
     diff_against_serial, fabric_chaos_plan, fabric_grid, run_fabric, run_serial, FabricConfig,
     FabricFault,
@@ -351,8 +351,6 @@ fn main() {
             cells.len(),
             chaos_config.slices_per_cell,
             faults,
-            chaos_config.max_attempts,
-            chaos_config.lease_rounds,
         ),
         Some(kind) => {
             let mut plan = eof_core::FabricChaosPlan::none();
@@ -360,7 +358,7 @@ fn main() {
                 let fault = |attempt: u64| match kind {
                     "kill" => FabricFault::Kill,
                     "stall" => FabricFault::Stall {
-                        rounds: chaos_config.lease_rounds + 1 + (cell as u64 + attempt) % 2,
+                        rounds: LEASE_ROUNDS + 1 + (cell as u64 + attempt) % 2,
                     },
                     "torn-write" => {
                         if (cell as u64 + attempt).is_multiple_of(2) {

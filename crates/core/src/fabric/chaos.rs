@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use super::lease::CellId;
+use super::{LEASE_ROUNDS, MAX_ATTEMPTS};
 
 /// One injected worker fault. Every kind fires at a slice boundary,
 /// *after* the slice's checkpoint write completed or was torn — a
@@ -58,9 +59,9 @@ impl FabricFault {
 
     /// Does this fault burn one of the cell's bounded lease attempts?
     /// (Stalls shorter than the lease recover without a reassignment.)
-    pub fn consumes_attempt(&self, lease_rounds: u64) -> bool {
+    pub fn consumes_attempt(&self) -> bool {
         match self {
-            FabricFault::Stall { rounds } => *rounds >= lease_rounds,
+            FabricFault::Stall { rounds } => *rounds >= LEASE_ROUNDS,
             _ => true,
         }
     }
@@ -129,7 +130,7 @@ impl FabricChaosPlan {
 ///
 /// The schedule respects the fabric's own recovery bounds so that a
 /// chaos run is a *recovery* test, not a denial-of-service test: each
-/// cell receives at most `max_attempts - 2` attempt-consuming faults,
+/// cell receives at most `MAX_ATTEMPTS - 2` attempt-consuming faults,
 /// leaving it at least two clean grants to finish on. (Degradation to
 /// fewer workers via poisoning still happens when kills concentrate on
 /// one slot — that path is exercised, not avoided.)
@@ -138,15 +139,13 @@ pub fn fabric_chaos_plan(
     cells: usize,
     slices_per_cell: usize,
     faults: usize,
-    max_attempts: u32,
-    lease_rounds: u64,
 ) -> FabricChaosPlan {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xfab41c);
     let mut plan = FabricChaosPlan::none();
     if cells == 0 || slices_per_cell == 0 {
         return plan;
     }
-    let per_cell_cap = max_attempts.saturating_sub(2).max(1) as usize;
+    let per_cell_cap = MAX_ATTEMPTS.saturating_sub(2).max(1) as usize;
     let mut consuming = vec![0usize; cells];
     let mut used: BTreeMap<(CellId, u32), ()> = BTreeMap::new();
     for _ in 0..faults {
@@ -163,10 +162,10 @@ pub fn fabric_chaos_plan(
             // Stall lengths straddle the lease: short ones exercise the
             // late-heartbeat path, long ones the expiry/fencing path.
             _ => FabricFault::Stall {
-                rounds: rng.random_range(1..=lease_rounds + 2),
+                rounds: rng.random_range(1..=LEASE_ROUNDS + 2),
             },
         };
-        if fault.consumes_attempt(lease_rounds) {
+        if fault.consumes_attempt() {
             if consuming[cell] >= per_cell_cap {
                 continue; // keep the cell finishable
             }
@@ -184,9 +183,9 @@ mod tests {
 
     #[test]
     fn schedules_are_reproducible_and_seed_sensitive() {
-        let a = fabric_chaos_plan(11, 5, 4, 12, 5, 4);
-        let b = fabric_chaos_plan(11, 5, 4, 12, 5, 4);
-        let c = fabric_chaos_plan(12, 5, 4, 12, 5, 4);
+        let a = fabric_chaos_plan(11, 5, 4, 12);
+        let b = fabric_chaos_plan(11, 5, 4, 12);
+        let c = fabric_chaos_plan(12, 5, 4, 12);
         let key = |p: &FabricChaosPlan| p.iter().collect::<Vec<_>>();
         assert_eq!(key(&a), key(&b), "same seed, same schedule");
         assert_ne!(key(&a), key(&c), "different seed, different schedule");
@@ -196,16 +195,15 @@ mod tests {
     #[test]
     fn attempt_consuming_faults_stay_below_the_retry_bound() {
         for seed in 0..20u64 {
-            let max_attempts = 5u32;
-            let plan = fabric_chaos_plan(seed, 3, 4, 40, max_attempts, 4);
+            let plan = fabric_chaos_plan(seed, 3, 4, 40);
             let mut consuming = [0usize; 3];
             for (cell, _, fault) in plan.iter() {
-                if fault.consumes_attempt(4) {
+                if fault.consumes_attempt() {
                     consuming[cell] += 1;
                 }
             }
             assert!(
-                consuming.iter().all(|&c| c + 2 <= max_attempts as usize),
+                consuming.iter().all(|&c| c + 2 <= MAX_ATTEMPTS as usize),
                 "seed {seed}: a cell could exhaust its attempts: {consuming:?}"
             );
         }
@@ -216,12 +214,11 @@ mod tests {
         // Across a pool of seeds both stall flavours must appear —
         // otherwise the fencing path (or the late-heartbeat path) is
         // never exercised by the nightly matrix.
-        let lease = 4u64;
         let (mut short, mut long) = (0, 0);
         for seed in 0..30u64 {
-            for (_, _, fault) in fabric_chaos_plan(seed, 4, 4, 30, 5, lease).iter() {
+            for (_, _, fault) in fabric_chaos_plan(seed, 4, 4, 30).iter() {
                 if let FabricFault::Stall { rounds } = fault {
-                    if rounds < lease {
+                    if rounds < LEASE_ROUNDS {
                         short += 1;
                     } else {
                         long += 1;

@@ -27,12 +27,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use eof_rtos::bugs::BugId;
+use eof_telemetry::TelemetrySummary;
 
 use super::chaos::{FabricChaosPlan, FabricFault};
 use super::lease::{CellId, CellOutcome, Epoch, LeaseTable, ReassignReason, WorkerId};
 use super::worker::{advance_cell, slice_target_hours, FinishedCell, SliceReport};
-use super::FabricConfig;
+use super::{FabricConfig, FabricReport, BACKOFF_CAP, LEASE_ROUNDS, MAX_ATTEMPTS};
 use crate::fleet::FleetRunner;
+use crate::supervisor::ResilienceStats;
 
 /// Fabric-level fault and recovery accounting (the lease table carries
 /// its own grant/heartbeat/expiry counters alongside).
@@ -57,26 +59,6 @@ pub struct FabricAccounting {
     /// Slots permanently removed after `poison_kills` deaths, in
     /// poisoning order. The fabric degrades to the survivors.
     pub poisoned_workers: Vec<WorkerId>,
-}
-
-/// What the engine hands back to [`super::run_fabric`].
-#[derive(Debug)]
-pub struct EngineRun {
-    /// Final lease table: outcomes, failures, reassignment log.
-    pub lease: LeaseTable,
-    /// Fault/recovery accounting.
-    pub accounting: FabricAccounting,
-    /// Live coverage union, merged at every heartbeat (a superset of
-    /// the completed-cell union when cells failed mid-flight).
-    pub observed_edges: BTreeSet<u64>,
-    /// Live bug union, merged at every heartbeat.
-    pub observed_bugs: BTreeSet<BugId>,
-    /// Telemetry summaries of finished cells (present when recording
-    /// was on), keyed by cell.
-    pub telemetry: Vec<(CellId, eof_telemetry::TelemetrySummary)>,
-    /// Supervisor resilience accounting of each finished cell's final
-    /// derivation, keyed by cell.
-    pub resilience: Vec<(CellId, crate::supervisor::ResilienceStats)>,
 }
 
 /// One worker's in-flight assignment.
@@ -118,17 +100,20 @@ enum SliceEnd {
     Death { label: &'static str },
 }
 
-/// The coordinator's heartbeat-time merge state.
+/// The coordinator's heartbeat-time merge state. Finished cells'
+/// telemetry and resilience are keyed by cell, so they merge in cell
+/// order whatever order the cells finished in.
 #[derive(Default)]
 struct MergeState {
     observed_edges: BTreeSet<u64>,
     observed_bugs: BTreeSet<BugId>,
-    telemetry: Vec<(CellId, eof_telemetry::TelemetrySummary)>,
-    resilience: Vec<(CellId, crate::supervisor::ResilienceStats)>,
+    telemetry: BTreeMap<CellId, TelemetrySummary>,
+    resilience: BTreeMap<CellId, ResilienceStats>,
 }
 
-/// Run the fabric to completion. Deterministic in its arguments.
-pub(super) fn run_engine(config: &FabricConfig, plan: &FabricChaosPlan) -> EngineRun {
+/// Run the fabric to completion and report it, `violations` left for
+/// [`super::run_fabric`] to fill. Deterministic in its arguments.
+pub(super) fn run_engine(config: &FabricConfig, plan: &FabricChaosPlan) -> FabricReport {
     assert!(config.workers > 0, "fabric needs at least one worker slot");
     assert!(config.slices_per_cell > 0, "cells need at least one slice");
     let cells = &config.cells;
@@ -142,8 +127,8 @@ pub(super) fn run_engine(config: &FabricConfig, plan: &FabricChaosPlan) -> Engin
     // fits far inside this bound; crossing it means the engine stopped
     // making progress, which must end in a loud report, not a hang.
     let max_rounds = (cells.len() as u64 * config.slices_per_cell as u64 + 1)
-        * (config.max_attempts as u64 + 1)
-        * (config.lease_rounds + config.backoff_cap + 2)
+        * (MAX_ATTEMPTS as u64 + 1)
+        * (LEASE_ROUNDS + BACKOFF_CAP + 2)
         + 64;
 
     let mut tick: u64 = 0;
@@ -170,7 +155,7 @@ pub(super) fn run_engine(config: &FabricConfig, plan: &FabricChaosPlan) -> Engin
             let Some((cell, _)) = lease.next_schedulable(tick) else {
                 break;
             };
-            let epoch = lease.grant(cell, w, tick, config.lease_rounds);
+            let epoch = lease.grant(cell, w, tick);
             slot.task = Some(Task {
                 cell,
                 epoch,
@@ -226,7 +211,7 @@ pub(super) fn run_engine(config: &FabricConfig, plan: &FabricChaosPlan) -> Engin
                 let task = slot.task.as_mut().expect("stalled slot has a task");
                 task.pending = None;
                 let (cell, epoch) = (task.cell, task.epoch);
-                if lease.heartbeat(cell, epoch, tick, config.lease_rounds) {
+                if lease.heartbeat(cell, epoch, tick) {
                     acct.late_heartbeats += 1;
                     deliver(&mut lease, &mut progress, slot, &mut merge, report);
                 } else {
@@ -242,7 +227,7 @@ pub(super) fn run_engine(config: &FabricConfig, plan: &FabricChaosPlan) -> Engin
             let (cell, epoch) = (task.cell, task.epoch);
             match end {
                 SliceEnd::Report(report) => {
-                    if lease.heartbeat(cell, epoch, tick, config.lease_rounds) {
+                    if lease.heartbeat(cell, epoch, tick) {
                         deliver(&mut lease, &mut progress, slot, &mut merge, report.clone());
                     } else {
                         acct.fenced_wakeups += 1;
@@ -264,14 +249,7 @@ pub(super) fn run_engine(config: &FabricConfig, plan: &FabricChaosPlan) -> Engin
                         _ => {}
                     }
                     if lease.epoch_live(cell, epoch) {
-                        lease.reassign(
-                            cell,
-                            tick,
-                            ReassignReason::WorkerDeath,
-                            config.backoff_base,
-                            config.backoff_cap,
-                            config.max_attempts,
-                        );
+                        lease.reassign(cell, tick, ReassignReason::WorkerDeath);
                     }
                     slot.task = None;
                     slot.kills += 1;
@@ -289,24 +267,42 @@ pub(super) fn run_engine(config: &FabricConfig, plan: &FabricChaosPlan) -> Engin
         // go back to the pool; the hung owner keeps its stale epoch and
         // is fenced whenever it wakes.
         for (cell, _worker) in lease.expired(tick) {
-            lease.reassign(
-                cell,
-                tick,
-                ReassignReason::LeaseExpiry,
-                config.backoff_base,
-                config.backoff_cap,
-                config.max_attempts,
-            );
+            lease.reassign(cell, tick, ReassignReason::LeaseExpiry);
         }
     }
 
-    EngineRun {
-        lease,
-        accounting: acct,
-        observed_edges: merge.observed_edges,
+    let outcomes: Vec<(CellId, CellOutcome)> =
+        lease.outcomes().map(|(id, o)| (id, o.clone())).collect();
+    // Gate quantities: unions over completed cells only.
+    let mut merged_bugs = BTreeSet::new();
+    let mut merged_edges = BTreeSet::new();
+    for (_, outcome) in &outcomes {
+        merged_bugs.extend(outcome.bugs.iter().copied());
+        merged_edges.extend(outcome.coverage_edges.iter().copied());
+    }
+    let mut resilience = ResilienceStats::default();
+    for r in merge.resilience.values() {
+        resilience.absorb(r);
+    }
+    let telemetry = merge.telemetry.into_values().reduce(|mut merged, part| {
+        merged.absorb(&part);
+        merged
+    });
+    FabricReport {
+        failures: lease.failures(),
+        reassignments: lease.reassignments,
+        leases_granted: lease.leases_granted,
+        heartbeats: lease.heartbeats,
+        lease_expiries: lease.lease_expiries,
+        outcomes,
+        merged_bugs,
+        merged_edges,
         observed_bugs: merge.observed_bugs,
-        telemetry: merge.telemetry,
-        resilience: merge.resilience,
+        observed_edges: merge.observed_edges,
+        accounting: acct,
+        resilience,
+        telemetry,
+        violations: Vec::new(),
     }
 }
 
@@ -316,7 +312,7 @@ pub(super) fn cell_dir(root: &Path, cell: CellId) -> PathBuf {
 }
 
 /// Fold a delivered slice report into the coordinator's state: merge
-/// coverage/bugs (the periodic exchange), advance the cell's slice
+/// coverage/bugs into the live unions, advance the cell's slice
 /// ladder, and settle the cell when the final slice landed.
 fn deliver(
     lease: &mut LeaseTable,
@@ -343,9 +339,9 @@ fn deliver(
             resilience,
             telemetry: cell_tel,
         }) => {
-            merge.resilience.push((cell, resilience));
+            merge.resilience.insert(cell, resilience);
             if let Some(summary) = cell_tel {
-                merge.telemetry.push((cell, summary));
+                merge.telemetry.insert(cell, summary);
             }
             lease.complete(
                 cell,
@@ -355,8 +351,7 @@ fn deliver(
                     branches,
                     execs,
                     crashes,
-                    seeds_exported: 0, // filled by the exchange export
-                    attempts: 0,       // filled by `complete`
+                    attempts: 0, // filled by `complete`
                     checkpoint_skips: prog.skips,
                     checkpoints_discarded: prog.discarded,
                     prefix_verified: prog.prefix_verified,

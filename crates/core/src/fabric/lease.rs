@@ -2,7 +2,7 @@
 //!
 //! Every campaign cell is owned by at most one worker at a time, and
 //! ownership is *time-bounded*: a lease granted at tick `t` expires at
-//! `t + lease_rounds` unless the worker renews it with a heartbeat
+//! `t + LEASE_ROUNDS` unless the worker renews it with a heartbeat
 //! (which it does at every slice boundary). The coordinator never asks
 //! a worker whether it is alive — it watches the lease:
 //!
@@ -14,13 +14,16 @@
 //!   epoch was superseded (fencing) and discards its claim instead of
 //!   racing the replacement.
 //!
-//! Reassignment is bounded: each attempt backs off exponentially and a
-//! cell that keeps failing is *reported* as failed after
-//! `max_attempts`, never silently dropped and never retried forever.
+//! Reassignment is bounded: each attempt backs off exponentially (from
+//! [`BACKOFF_BASE`] up to [`BACKOFF_CAP`] rounds) and a cell that keeps
+//! failing is *reported* as failed after [`MAX_ATTEMPTS`] grants, never
+//! silently dropped and never retried forever.
 
 use std::collections::BTreeSet;
 
 use eof_rtos::bugs::BugId;
+
+use super::{BACKOFF_BASE, BACKOFF_CAP, LEASE_ROUNDS, MAX_ATTEMPTS};
 
 /// Index of a cell in the fabric's cell table.
 pub type CellId = usize;
@@ -81,8 +84,6 @@ pub struct CellOutcome {
     pub execs: u64,
     /// Unique crash classes persisted in the cell's store.
     pub crashes: usize,
-    /// Seeds the cell exported to the corpus exchange.
-    pub seeds_exported: usize,
     /// Lease attempts the cell consumed (1 = no reassignment).
     pub attempts: u32,
     /// Checkpoint store entries persist skipped as corrupt while
@@ -163,16 +164,6 @@ impl LeaseTable {
         }
     }
 
-    /// Cell count.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// True when the table holds no cells at all.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
     /// Current state of one cell.
     pub fn state(&self, cell: CellId) -> &CellState {
         &self.states[cell]
@@ -189,7 +180,7 @@ impl LeaseTable {
     }
 
     /// Grant a lease on a pending cell. Returns the fencing epoch.
-    pub fn grant(&mut self, cell: CellId, worker: WorkerId, tick: u64, lease_rounds: u64) -> Epoch {
+    pub fn grant(&mut self, cell: CellId, worker: WorkerId, tick: u64) -> Epoch {
         let attempt = match &self.states[cell] {
             CellState::Pending { attempt, .. } => *attempt,
             other => panic!("granting a lease on non-pending cell {cell}: {other:?}"),
@@ -200,7 +191,7 @@ impl LeaseTable {
         self.states[cell] = CellState::Leased {
             worker,
             epoch,
-            expires_at: tick + lease_rounds,
+            expires_at: tick + LEASE_ROUNDS,
             attempt,
         };
         epoch
@@ -208,14 +199,14 @@ impl LeaseTable {
 
     /// Renew a lease (heartbeat) — only honoured under the live epoch.
     /// Returns false when the heartbeat was fenced (stale epoch).
-    pub fn heartbeat(&mut self, cell: CellId, epoch: Epoch, tick: u64, lease_rounds: u64) -> bool {
+    pub fn heartbeat(&mut self, cell: CellId, epoch: Epoch, tick: u64) -> bool {
         match &mut self.states[cell] {
             CellState::Leased {
                 epoch: live,
                 expires_at,
                 ..
             } if *live == epoch => {
-                *expires_at = tick + lease_rounds;
+                *expires_at = tick + LEASE_ROUNDS;
                 self.heartbeats += 1;
                 true
             }
@@ -244,17 +235,8 @@ impl LeaseTable {
 
     /// Take a cell back after its owner died or its lease lapsed. The
     /// cell re-enters the pool after exponential backoff, or becomes
-    /// `Failed` once `max_attempts` grants have been burned.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reassign(
-        &mut self,
-        cell: CellId,
-        tick: u64,
-        reason: ReassignReason,
-        backoff_base: u64,
-        backoff_cap: u64,
-        max_attempts: u32,
-    ) {
+    /// `Failed` once [`MAX_ATTEMPTS`] grants have been burned.
+    pub fn reassign(&mut self, cell: CellId, tick: u64, reason: ReassignReason) {
         let attempt = match &self.states[cell] {
             CellState::Leased { attempt, .. } => *attempt,
             other => panic!("reassigning a cell that is not leased: {other:?}"),
@@ -263,10 +245,10 @@ impl LeaseTable {
             self.lease_expiries += 1;
         }
         let next_attempt = attempt + 1;
-        if next_attempt >= max_attempts {
+        if next_attempt >= MAX_ATTEMPTS {
             self.states[cell] = CellState::Failed {
                 reason: format!(
-                    "cell burned {max_attempts} lease attempts (last loss: {})",
+                    "cell burned {MAX_ATTEMPTS} lease attempts (last loss: {})",
                     reason.label()
                 ),
                 attempts: next_attempt,
@@ -282,9 +264,9 @@ impl LeaseTable {
         }
         // Exponential backoff in ticks, capped: a flapping cell must not
         // monopolise the pool, but recovery latency stays bounded.
-        let backoff = backoff_base
+        let backoff = BACKOFF_BASE
             .saturating_mul(1u64 << next_attempt.min(6))
-            .min(backoff_cap);
+            .min(BACKOFF_CAP);
         let ready_at = tick + backoff;
         self.states[cell] = CellState::Pending {
             ready_at,
@@ -375,9 +357,9 @@ mod tests {
     fn grant_heartbeat_complete_walks_the_happy_path() {
         let mut t = LeaseTable::new(2);
         assert_eq!(t.next_schedulable(0), Some((0, 0)));
-        let e0 = t.grant(0, 3, 0, 4);
+        let e0 = t.grant(0, 3, 0);
         assert_eq!(t.next_schedulable(0), Some((1, 0)));
-        assert!(t.heartbeat(0, e0, 2, 4));
+        assert!(t.heartbeat(0, e0, 2));
         assert!(t.epoch_live(0, e0));
         t.complete(0, CellOutcome::default());
         assert!(matches!(t.state(0), CellState::Done(o) if o.attempts == 1));
@@ -388,10 +370,10 @@ mod tests {
     #[test]
     fn expiry_is_detected_and_fences_the_old_epoch() {
         let mut t = LeaseTable::new(1);
-        let e0 = t.grant(0, 0, 0, 4);
-        assert!(t.expired(3).is_empty());
-        assert_eq!(t.expired(4), vec![(0, 0)]);
-        t.reassign(0, 4, ReassignReason::LeaseExpiry, 1, 8, 5);
+        let e0 = t.grant(0, 0, 0);
+        assert!(t.expired(LEASE_ROUNDS - 1).is_empty());
+        assert_eq!(t.expired(LEASE_ROUNDS), vec![(0, 0)]);
+        t.reassign(0, 4, ReassignReason::LeaseExpiry);
         // Backoff: attempt 1 ⇒ 1 << 1 = 2 ticks.
         assert_eq!(
             t.state(0),
@@ -402,10 +384,10 @@ mod tests {
         );
         assert_eq!(t.next_schedulable(5), None, "backoff gates the reassign");
         assert_eq!(t.next_schedulable(6), Some((0, 1)));
-        let e1 = t.grant(0, 1, 6, 4);
+        let e1 = t.grant(0, 1, 6);
         assert_ne!(e0, e1);
         assert!(!t.epoch_live(0, e0), "stale epoch is fenced");
-        assert!(!t.heartbeat(0, e0, 7, 4), "stale heartbeat is refused");
+        assert!(!t.heartbeat(0, e0, 7), "stale heartbeat is refused");
         assert!(t.epoch_live(0, e1));
         assert_eq!(t.lease_expiries, 1);
         assert_eq!(t.reassignments.len(), 1);
@@ -415,15 +397,15 @@ mod tests {
     #[test]
     fn bounded_retries_end_in_a_reported_failure() {
         let mut t = LeaseTable::new(1);
-        for attempt in 0..3u32 {
+        for attempt in 0..MAX_ATTEMPTS {
             let (cell, a) = t.next_schedulable(u64::MAX - 100).expect("schedulable");
             assert_eq!((cell, a), (0, attempt));
-            t.grant(0, 0, 0, 4);
-            t.reassign(0, 10, ReassignReason::WorkerDeath, 1, 8, 3);
+            t.grant(0, 0, 0);
+            t.reassign(0, 10, ReassignReason::WorkerDeath);
         }
         match t.state(0) {
             CellState::Failed { reason, attempts } => {
-                assert_eq!(*attempts, 3);
+                assert_eq!(*attempts, MAX_ATTEMPTS);
                 assert!(reason.contains("worker-death"), "{reason}");
             }
             other => panic!("expected Failed, got {other:?}"),
@@ -436,9 +418,9 @@ mod tests {
     fn backoff_is_exponential_and_capped() {
         let mut t = LeaseTable::new(1);
         let mut delays = Vec::new();
-        for _ in 0..5 {
-            t.grant(0, 0, 100, 4);
-            t.reassign(0, 100, ReassignReason::WorkerDeath, 1, 8, 99);
+        for _ in 1..MAX_ATTEMPTS {
+            t.grant(0, 0, 100);
+            t.reassign(0, 100, ReassignReason::WorkerDeath);
             match t.state(0) {
                 CellState::Pending { ready_at, .. } => delays.push(ready_at - 100),
                 other => panic!("{other:?}"),
@@ -448,15 +430,15 @@ mod tests {
                 *ready_at = 0;
             }
         }
-        assert_eq!(delays, vec![2, 4, 8, 8, 8], "doubling then capped");
+        assert_eq!(delays, vec![2, 4, 8, 8], "doubling then capped");
     }
 
     #[test]
     fn fail_remaining_reports_every_unsettled_cell() {
         let mut t = LeaseTable::new(3);
-        t.grant(1, 0, 0, 4);
+        t.grant(1, 0, 0);
         t.complete(1, CellOutcome::default());
-        t.grant(2, 0, 0, 4);
+        t.grant(2, 0, 0);
         t.fail_remaining("no live workers");
         assert!(t.all_settled());
         let failures = t.failures();

@@ -19,12 +19,13 @@
 //!   backoff, hung workers are detected by lease expiry, corrupt
 //!   checkpoints degrade via persist's counted skips, and slots that
 //!   keep dying are poisoned so the fabric degrades to fewer workers
-//!   instead of stalling;
+//!   instead of stalling. It merges every heartbeat's coverage and bugs
+//!   into a live union, and builds the [`FabricReport`];
 //! * **chaos** ([`chaos`]) — seeded schedules of kills, stalls and torn
-//!   writes, replayable bit-for-bit;
-//! * **the exchange** — the persist layer's content-addressed seed pool
-//!   ([`crate::persist::Exchange`]), fed per-cell on completion, plus
-//!   the coverage union the coordinator merges at every heartbeat.
+//!   writes, replayable bit-for-bit.
+//!
+//! The lease and retry envelope is fixed: [`LEASE_ROUNDS`],
+//! [`BACKOFF_BASE`], [`BACKOFF_CAP`] and [`MAX_ATTEMPTS`].
 //!
 //! The headline gate is [`run_serial`] vs [`run_fabric`]: N workers,
 //! with or without injected faults, must produce the same merged
@@ -45,17 +46,25 @@ use eof_rtos::OsKind;
 
 use crate::campaign::run_campaign_with_coverage;
 use crate::config::FuzzerConfig;
-use crate::persist::{Exchange, ExchangeImport};
 use crate::supervisor::ResilienceStats;
 
 pub use chaos::{fabric_chaos_plan, FabricChaosPlan, FabricFault, FABRIC_FAULT_KINDS};
-pub use coordinator::{EngineRun, FabricAccounting};
+pub use coordinator::FabricAccounting;
 pub use lease::{
     CellId, CellOutcome, CellState, Epoch, LeaseTable, ReassignReason, Reassignment, WorkerId,
 };
 pub use worker::{advance_cell, slice_target_hours, FinishedCell, SliceReport};
 
-/// The fabric's shape and robustness knobs.
+/// Rounds a lease survives without a heartbeat.
+pub const LEASE_ROUNDS: u64 = 4;
+/// Base reassignment backoff, in rounds.
+pub const BACKOFF_BASE: u64 = 1;
+/// Backoff ceiling, in rounds.
+pub const BACKOFF_CAP: u64 = 8;
+/// Lease grants a cell may burn before it is reported failed.
+pub const MAX_ATTEMPTS: u32 = 5;
+
+/// The fabric's shape.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// The campaign cells to shard (see [`fabric_grid`]).
@@ -65,32 +74,20 @@ pub struct FabricConfig {
     /// Checkpoints per cell: the budget is split into this many growing
     /// slices, each landing a complete store.
     pub slices_per_cell: usize,
-    /// Rounds a lease survives without a heartbeat.
-    pub lease_rounds: u64,
-    /// Base reassignment backoff, in rounds.
-    pub backoff_base: u64,
-    /// Backoff ceiling, in rounds.
-    pub backoff_cap: u64,
-    /// Lease grants a cell may burn before it is reported failed.
-    pub max_attempts: u32,
     /// Worker deaths that permanently poison a slot.
     pub poison_kills: u32,
-    /// Root directory: per-cell checkpoint stores live under `cells/`,
-    /// the corpus exchange under `exchange/`.
+    /// Root directory: per-cell checkpoint stores live under `cells/`.
     pub root: PathBuf,
 }
 
 impl FabricConfig {
-    /// A fabric over `cells` with the default robustness envelope.
+    /// A fabric over `cells` with four slices per cell and slots
+    /// poisoned after three deaths.
     pub fn new(cells: Vec<FuzzerConfig>, workers: usize, root: &Path) -> Self {
         FabricConfig {
             cells,
             workers,
             slices_per_cell: 4,
-            lease_rounds: 4,
-            backoff_base: 1,
-            backoff_cap: 8,
-            max_attempts: 5,
             poison_kills: 3,
             root: root.to_path_buf(),
         }
@@ -151,8 +148,6 @@ pub struct FabricReport {
     pub heartbeats: u64,
     /// Leases that lapsed without a heartbeat.
     pub lease_expiries: u64,
-    /// Corpus-exchange totals across all per-cell exports.
-    pub exchange: ExchangeImport,
     /// Supervisor resilience accounting summed over completed cells'
     /// final derivations.
     pub resilience: ResilienceStats,
@@ -166,76 +161,7 @@ pub struct FabricReport {
 
 /// Run the fabric under a (possibly empty) fault schedule.
 pub fn run_fabric(config: &FabricConfig, plan: &FabricChaosPlan) -> FabricReport {
-    let engine = coordinator::run_engine(config, plan);
-
-    let mut outcomes: Vec<(CellId, CellOutcome)> = engine
-        .lease
-        .outcomes()
-        .map(|(id, o)| (id, o.clone()))
-        .collect();
-
-    // Export every completed cell's seed pool into the exchange, in
-    // cell order — deterministic regardless of completion order, so
-    // exchange totals are gate-comparable across worker counts.
-    let exchange = Exchange::open(&config.root.join("exchange")).ok();
-    let mut exchange_totals = ExchangeImport::default();
-    for (cell, outcome) in &mut outcomes {
-        let dir = coordinator::cell_dir(&config.root, *cell);
-        if let (Some(ex), Ok(loaded)) = (&exchange, crate::persist::open(&dir)) {
-            let stats = ex.import(&loaded.seeds, loaded.manifest.fingerprint);
-            outcome.seeds_exported = stats.imported;
-            exchange_totals.imported += stats.imported;
-            exchange_totals.deduped += stats.deduped;
-            exchange_totals.write_errors += stats.write_errors;
-        }
-    }
-
-    // Supervisor accounting, summed in cell order.
-    let mut sorted_res = engine.resilience;
-    sorted_res.sort_by_key(|(cell, _)| *cell);
-    let mut resilience = ResilienceStats::default();
-    for (_, r) in &sorted_res {
-        resilience.absorb(r);
-    }
-
-    // Gate quantities: unions over completed cells only.
-    let mut merged_bugs = BTreeSet::new();
-    let mut merged_edges = BTreeSet::new();
-    for (_, outcome) in &outcomes {
-        merged_bugs.extend(outcome.bugs.iter().copied());
-        merged_edges.extend(outcome.coverage_edges.iter().copied());
-    }
-
-    // Cross-cell telemetry merge, in cell order.
-    let mut sorted_tel = engine.telemetry;
-    sorted_tel.sort_by_key(|(cell, _)| *cell);
-    let telemetry = sorted_tel.into_iter().fold(None, |acc, (_, part)| {
-        Some(match acc {
-            None => part,
-            Some(mut merged) => {
-                eof_telemetry::TelemetrySummary::absorb(&mut merged, &part);
-                merged
-            }
-        })
-    });
-
-    let mut report = FabricReport {
-        failures: engine.lease.failures(),
-        reassignments: engine.lease.reassignments.clone(),
-        leases_granted: engine.lease.leases_granted,
-        heartbeats: engine.lease.heartbeats,
-        lease_expiries: engine.lease.lease_expiries,
-        outcomes,
-        merged_bugs,
-        merged_edges,
-        observed_bugs: engine.observed_bugs,
-        observed_edges: engine.observed_edges,
-        accounting: engine.accounting,
-        exchange: exchange_totals,
-        resilience,
-        telemetry,
-        violations: Vec::new(),
-    };
+    let mut report = coordinator::run_engine(config, plan);
     report.violations = check_fabric_invariants(&report, config, plan);
     report
 }
@@ -281,8 +207,8 @@ pub fn run_serial(cells: &[FuzzerConfig]) -> SerialMerge {
 ///    or reported, never silent, never stuck);
 /// 2. a fault-free schedule recovers nothing because nothing fails;
 /// 3. reassignment is bounded: detection-to-schedulable latency never
-///    exceeds the backoff cap, and no cell burned more than
-///    `max_attempts` grants;
+///    exceeds [`BACKOFF_CAP`], and no cell burned more than
+///    [`MAX_ATTEMPTS`] grants;
 /// 4. reassigned cells actually resumed: unless their checkpoint was
 ///    discarded as torn, they prefix-verified prior work;
 /// 5. degradation stays sane: poisoned slots never exceed the slot
@@ -329,20 +255,19 @@ pub fn check_fabric_invariants(
         }
     }
     for r in &report.reassignments {
-        if r.ready_at != u64::MAX && r.ready_at - r.detected_at > config.backoff_cap {
+        if r.ready_at != u64::MAX && r.ready_at - r.detected_at > BACKOFF_CAP {
             violations.push(format!(
-                "cell {} reassignment backoff {} exceeds cap {}",
+                "cell {} reassignment backoff {} exceeds cap {BACKOFF_CAP}",
                 r.cell,
                 r.ready_at - r.detected_at,
-                config.backoff_cap
             ));
         }
     }
     for (cell, outcome) in &report.outcomes {
-        if outcome.attempts > config.max_attempts {
+        if outcome.attempts > MAX_ATTEMPTS {
             violations.push(format!(
-                "cell {cell} consumed {} attempts (max {})",
-                outcome.attempts, config.max_attempts
+                "cell {cell} consumed {} attempts (max {MAX_ATTEMPTS})",
+                outcome.attempts
             ));
         }
         if outcome.attempts > 1
@@ -459,10 +384,6 @@ mod tests {
         let b = run_fabric(&three, &FabricChaosPlan::none());
         assert_eq!(a.merged_bugs, b.merged_bugs);
         assert_eq!(a.merged_edges, b.merged_edges);
-        assert_eq!(
-            a.exchange.imported, b.exchange.imported,
-            "exchange is order-independent"
-        );
         let _ = std::fs::remove_dir_all(&one.root);
         let _ = std::fs::remove_dir_all(&three.root);
     }
@@ -498,7 +419,7 @@ mod tests {
             0,
             0,
             FabricFault::Stall {
-                rounds: config.lease_rounds + 3,
+                rounds: LEASE_ROUNDS + 3,
             },
         );
         let report = run_fabric(&config, &plan);
@@ -519,7 +440,7 @@ mod tests {
     fn short_stall_recovers_with_a_late_heartbeat() {
         let mut config = small_fabric("latehb", 2);
         config.slices_per_cell = 2;
-        config.lease_rounds = 6;
+        // A 2-round stall stays inside the LEASE_ROUNDS lease.
         let plan = FabricChaosPlan::none().with(0, 0, FabricFault::Stall { rounds: 2 });
         let report = run_fabric(&config, &plan);
         assert_eq!(report.violations, Vec::<String>::new());
@@ -555,7 +476,6 @@ mod tests {
         let mut config = small_fabric("poison", 1);
         config.slices_per_cell = 4;
         config.poison_kills = 2;
-        config.max_attempts = 8;
         // Two kills against the only worker poison its slot; with no
         // slots left, remaining work must fail loudly — not hang.
         let plan =
@@ -581,12 +501,10 @@ mod tests {
     fn exhausted_attempts_are_a_reported_failure() {
         let mut config = small_fabric("exhaust", 2);
         config.slices_per_cell = 4;
-        config.max_attempts = 2;
         config.poison_kills = 10;
-        let plan =
-            FabricChaosPlan::none()
-                .with(0, 0, FabricFault::Kill)
-                .with(0, 1, FabricFault::Kill);
+        let plan = (0..MAX_ATTEMPTS).fold(FabricChaosPlan::none(), |plan, serial| {
+            plan.with(0, serial, FabricFault::Kill)
+        });
         let report = run_fabric(&config, &plan);
         let failed: Vec<_> = report.failures.iter().filter(|(c, _, _)| *c == 0).collect();
         assert_eq!(failed.len(), 1, "cell 0 exhausted its attempts");
@@ -618,7 +536,7 @@ mod tests {
         let report = run_fabric(&config, &plan);
         assert_eq!(
             report.accounting.worker_deaths,
-            u64::from(config.max_attempts),
+            u64::from(MAX_ATTEMPTS),
             "every attempt at cell 0 died"
         );
         let failed: Vec<_> = report.failures.iter().filter(|(c, _, _)| *c == 0).collect();
@@ -634,14 +552,7 @@ mod tests {
     fn seeded_chaos_schedules_replay_bit_for_bit() {
         let mut config = small_fabric("replay", 3);
         config.slices_per_cell = 2;
-        let plan = fabric_chaos_plan(
-            23,
-            config.cells.len(),
-            config.slices_per_cell,
-            4,
-            config.max_attempts,
-            config.lease_rounds,
-        );
+        let plan = fabric_chaos_plan(23, config.cells.len(), config.slices_per_cell, 4);
         let first = run_fabric(&config, &plan);
         let root2 = tmproot("replay2");
         let mut again = config.clone();

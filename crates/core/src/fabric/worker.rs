@@ -3,13 +3,13 @@
 //!
 //! A cell's campaign (budget `B`, `slices` checkpoints) is executed as
 //! a ladder of growing budgets: slice `k` takes the campaign to
-//! `B·(k+1)/slices` simulated hours and lands a *complete* store
-//! (manifest last) in the cell's checkpoint directory. Because
-//! campaigns are bit-deterministic in `(config, seed)` and simulated
-//! time is free, every slice after the first is a
-//! [`resume_campaign_with`] call: re-derive at the longer budget, then
-//! prefix-verify that the persisted checkpoint is exactly what the
-//! longer run re-derived. A replacement worker picking up a dead
+//! `B·(k+1)/slices` simulated hours (the last slice to exactly `B`)
+//! and lands a *complete* store (manifest last) in the cell's
+//! checkpoint directory. Because campaigns are bit-deterministic in
+//! `(config, seed)` and simulated time is free, every slice after the
+//! first is a [`resume_campaign_with`] call: re-derive at the longer
+//! budget, then prefix-verify that the persisted checkpoint is exactly
+//! what the longer run re-derived. A replacement worker picking up a dead
 //! worker's cell runs the *same* procedure — resuming from the last
 //! valid checkpoint is the normal path, not a special recovery mode.
 //!
@@ -70,8 +70,14 @@ pub struct FinishedCell {
 /// Budget the checkpoint ladder targets at slice `k` (0-based) of
 /// `slices`. Pure f64 arithmetic on fixed inputs, so every worker —
 /// and every *re*-worker after a reassignment — computes bit-identical
-/// targets, which the resume budget checks rely on.
+/// targets, which the resume budget checks rely on. The last slice is
+/// the budget itself: `total * slices / slices` can round past it
+/// (0.05 h over 3 slices gives 0.05000000000000001), and a store that
+/// consumed more than its budget cannot be resumed at that budget.
 pub fn slice_target_hours(total_hours: f64, slices: usize, slice: usize) -> f64 {
+    if slice + 1 >= slices {
+        return total_hours;
+    }
     total_hours * (slice as f64 + 1.0) / slices as f64
 }
 
@@ -136,7 +142,7 @@ pub fn advance_cell(config: &FuzzerConfig, dir: &Path, target_hours: f64) -> Sli
     report.coverage_edges = coverage.iter().collect();
     report.coverage_edges.sort_unstable();
     report.bugs = result.bugs.iter().copied().collect();
-    if (report.consumed_hours - config.budget_hours).abs() < f64::EPSILON {
+    if report.consumed_hours == config.budget_hours {
         report.finished = Some(FinishedCell {
             branches: result.branches,
             execs: result.stats.execs,
@@ -176,15 +182,46 @@ mod tests {
 
     #[test]
     fn slice_targets_are_monotone_and_exact() {
-        let total = 0.12;
-        let targets: Vec<f64> = (0..4).map(|k| slice_target_hours(total, 4, k)).collect();
-        assert!(targets.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(targets[3], total, "last slice lands the full budget");
-        // Recomputation is bit-identical (reassigned workers rely on it).
-        assert_eq!(
-            slice_target_hours(total, 4, 2).to_bits(),
-            slice_target_hours(total, 4, 2).to_bits()
-        );
+        // Includes splits that round (0.05 h over 3 or 6 slices, 0.06 h
+        // over 9): the last slice must land bit-exactly on the budget,
+        // not an ulp past it.
+        for total in [0.01, 0.05, 0.06, 0.1, 0.12, 0.3, 1.0 / 3.0, 24.0] {
+            for slices in 1..=9 {
+                let targets: Vec<f64> = (0..slices)
+                    .map(|k| slice_target_hours(total, slices, k))
+                    .collect();
+                assert!(targets.windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(
+                    targets[slices - 1].to_bits(),
+                    total.to_bits(),
+                    "{total} h over {slices} slices ends at {}",
+                    targets[slices - 1]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_three_slice_ladder_resumes_at_the_cells_own_budget() {
+        // 0.05 h does not split evenly into thirds in f64: the final
+        // checkpoint must still record exactly the budget, so a resume
+        // at that budget accepts the store.
+        let config = cell(OsKind::FreeRtos, 7, 0.05);
+        let dir = tmpdir("thirds");
+        let mut last = None;
+        for k in 0..3 {
+            last = Some(advance_cell(
+                &config,
+                &dir,
+                slice_target_hours(config.budget_hours, 3, k),
+            ));
+        }
+        assert!(last.unwrap().finished.is_some(), "final slice finishes");
+        let loaded = persist::open(&dir).unwrap();
+        assert_eq!(loaded.manifest.consumed_hours, config.budget_hours);
+        let resumed = resume_campaign_with(config.clone(), &dir).expect("resume at the budget");
+        assert!(resumed.verified_seeds > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -90,8 +90,8 @@ pub use fuzzer::{Fuzzer, FuzzerStats};
 pub use gen::Generator;
 pub use minimize::{minimize, MinimizeResult};
 pub use persist::{
-    config_fingerprint, CampaignStore, Exchange, ExchangeImport, LoadedStore, PersistedCrash,
-    PersistedSeed, SkipStats, StoreError, StoreManifest, SCHEMA_VERSION,
+    config_fingerprint, CampaignStore, LoadedStore, PersistedCrash, PersistedSeed, SkipStats,
+    StoreError, StoreManifest, SCHEMA_VERSION,
 };
 pub use replay::{
     finalize_store, replay_loaded, replay_store, resume_campaign, resume_campaign_with,

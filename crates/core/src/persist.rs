@@ -41,12 +41,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// FNV-1a 64 over arbitrary bytes — the store's stable hash (std's
 /// hasher keys are unspecified across processes).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    eof_hal::flash::fnv1a(bytes)
 }
 
 /// Fingerprint of the campaign knobs that determine a store's contents.
@@ -988,124 +983,6 @@ pub fn scan_crashes(dir: &Path, fingerprint: u64) -> (Vec<PersistedCrash>, SkipS
     }
     crashes.sort_by(|a, b| a.key.cmp(&b.key));
     (crashes, skips)
-}
-
-// ---------------------------------------------------------------------------
-// Corpus exchange
-// ---------------------------------------------------------------------------
-
-/// What one [`Exchange::import`] call did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExchangeImport {
-    /// Seeds newly added to the pool.
-    pub imported: usize,
-    /// Seeds already present under the same content hash.
-    pub deduped: usize,
-    /// Atomic writes that failed (counted, never fatal — the exchange
-    /// inherits the store's persistence-must-not-kill rule).
-    pub write_errors: usize,
-}
-
-/// A cross-campaign seed pool shared by every fabric cell.
-///
-/// Unlike a [`CampaignStore`], the exchange has many concurrent writers
-/// (one per worker) and cross-configuration contents, so its safety
-/// rests entirely on the content-addressed layout: every seed lives at
-/// `corpus/<stable_hash>.seed`, written via the same temp-then-rename
-/// protocol as the store. Two writers racing on *different* hashes
-/// touch different files; two racing on the *same* hash rename
-/// byte-identical content over each other (the hash names the bytes).
-/// Either way the pool converges to the union of everything imported —
-/// there is no read-modify-write anywhere on the seed path, which is
-/// what the concurrent-writer property test pins down.
-///
-/// The `exchange.eof` marker is written manifest-last on every import
-/// and records only schema + origin counts of the *writing* call; reads
-/// never trust it for membership — membership is the directory scan.
-#[derive(Debug, Clone)]
-pub struct Exchange {
-    dir: PathBuf,
-}
-
-impl Exchange {
-    /// Open (creating if needed) an exchange rooted at `dir`.
-    pub fn open(dir: &Path) -> Result<Exchange, StoreError> {
-        std::fs::create_dir_all(dir.join("corpus"))
-            .map_err(|e| StoreError::Io(format!("create exchange {}: {e}", dir.display())))?;
-        Ok(Exchange {
-            dir: dir.to_path_buf(),
-        })
-    }
-
-    /// The exchange directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Import `seeds` from a cell whose config fingerprint is
-    /// `fingerprint`, deduplicating by content hash. Safe to call from
-    /// any number of writers concurrently.
-    pub fn import(&self, seeds: &[PersistedSeed], fingerprint: u64) -> ExchangeImport {
-        let mut stats = ExchangeImport::default();
-        for seed in seeds {
-            let path = self
-                .dir
-                .join("corpus")
-                .join(format!("{:016x}.seed", seed.hash));
-            if path.exists() {
-                stats.deduped += 1;
-                continue;
-            }
-            if write_atomic(&path, &seed.render(fingerprint)).is_err() {
-                stats.write_errors += 1;
-            } else {
-                stats.imported += 1;
-            }
-        }
-        // Manifest-last: the marker only lands after every seed write of
-        // this call has landed, so a reader that sees it sees the seeds.
-        let marker = render_record(&[
-            ("schema", SCHEMA_VERSION.to_string()),
-            ("fingerprint", format!("{fingerprint:016x}")),
-            ("imported", stats.imported.to_string()),
-            ("deduped", stats.deduped.to_string()),
-        ]);
-        if write_atomic(&self.dir.join("exchange.eof"), &marker).is_err() {
-            stats.write_errors += 1;
-        }
-        stats
-    }
-
-    /// Load the pool: every parseable seed regardless of origin
-    /// fingerprint (the exchange is cross-configuration by design),
-    /// sorted by content hash. Torn or foreign-schema entries degrade
-    /// to counted skips, exactly like a store read.
-    pub fn load(&self) -> (Vec<PersistedSeed>, SkipStats) {
-        let mut skips = SkipStats::default();
-        let mut seeds = Vec::new();
-        for path in entry_paths(&self.dir, "corpus", "seed") {
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                skips.corrupt += 1;
-                continue;
-            };
-            let parsed = Record::parse(&text)
-                .map_err(|_| SkipKind::Corrupt)
-                .and_then(|rec| {
-                    match rec.u64("schema") {
-                        Ok(s) if s == SCHEMA_VERSION as u64 => {}
-                        Ok(_) => return Err(SkipKind::ForeignSchema),
-                        Err(_) => return Err(SkipKind::Corrupt),
-                    }
-                    PersistedSeed::from_record(&rec).map_err(|_| SkipKind::Corrupt)
-                });
-            match parsed {
-                Ok(seed) => seeds.push(seed),
-                Err(kind) => skips.bump(kind),
-            }
-        }
-        seeds.sort_by_key(|s| s.hash);
-        (seeds, skips)
-    }
 }
 
 #[cfg(test)]

@@ -60,8 +60,8 @@ pub mod prelude {
         FabricChaosPlan, FabricConfig, FabricFault, FabricReport, SerialMerge,
     };
     pub use eof_core::{
-        replay_store, resume_campaign, resume_campaign_with, CampaignStore, Exchange,
-        ExchangeImport, LoadedStore, ReplayReport, StoreError,
+        replay_store, resume_campaign, resume_campaign_with, CampaignStore, LoadedStore,
+        ReplayReport, StoreError,
     };
     pub use eof_core::{run_campaign, CampaignResult, Executor, Fuzzer, FuzzerConfig, Generator};
     pub use eof_coverage::InstrumentMode;

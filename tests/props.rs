@@ -186,24 +186,23 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent persist-store writers (the fabric's corpus exchange)
+// Concurrent persist-store writers
 // ---------------------------------------------------------------------------
 //
-// Two workers importing seeds into one exchange must never lose an
-// update. The exchange earns this without locks: every seed is a
-// content-addressed file written atomically (temp + rename), and the
-// manifest-last marker carries no membership data — loads scan the
-// directory — so there is no read-modify-write step for interleavings
-// to tear.
+// Two fleet jobs pointed at the same store directory must never tear
+// each other's entries. The store earns this without locks: every seed
+// is a content-addressed file written atomically (temp + rename), so a
+// reader sees either one writer's whole record or the other's, and
+// entries written under a foreign configuration load as counted skips.
 
-use eof::core::{persist::PersistedSeed, Exchange};
+use eof::core::{config_fingerprint, persist::PersistedSeed, CampaignStore};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-fn exchange_dir(tag: &str) -> PathBuf {
+fn store_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "eof-props-exchange-{tag}-{}-{}",
+        "eof-props-store-{tag}-{}-{}",
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ));
@@ -212,7 +211,7 @@ fn exchange_dir(tag: &str) -> PathBuf {
 }
 
 /// A synthetic-but-valid persisted seed: the hash really is the prog's
-/// stable hash, so `Exchange::load`'s integrity check accepts it.
+/// stable hash, so the store's integrity check accepts it.
 fn synthetic_seed(i: u64) -> PersistedSeed {
     let prog = Prog {
         mmio: vec![],
@@ -231,107 +230,52 @@ fn synthetic_seed(i: u64) -> PersistedSeed {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn exchange_two_writer_interleavings_never_lose_seeds(
-        batch_a in proptest::collection::vec(0u64..24, 1..16),
-        batch_b in proptest::collection::vec(0u64..24, 1..16),
-        schedule in proptest::collection::vec(any::<bool>(), 0..40),
-    ) {
-        let dir = exchange_dir("interleave");
-        // Each writer holds its own handle, exactly like two fabric
-        // workers pointed at the same exchange directory.
-        let writer_a = Exchange::open(&dir).unwrap();
-        let writer_b = Exchange::open(&dir).unwrap();
-        let seeds_a: Vec<PersistedSeed> = batch_a.iter().map(|&i| synthetic_seed(i)).collect();
-        let seeds_b: Vec<PersistedSeed> = batch_b.iter().map(|&i| synthetic_seed(i)).collect();
-
-        // Drive the two imports one seed at a time in an arbitrary
-        // interleaving (schedule bools pick the writer; an exhausted
-        // writer yields its turn).
-        let (mut ia, mut ib) = (0usize, 0usize);
-        let mut accounted = 0usize;
-        let mut steps = schedule.into_iter();
-        while ia < seeds_a.len() || ib < seeds_b.len() {
-            let pick_a = steps.next().unwrap_or(true);
-            let stats = if (pick_a && ia < seeds_a.len()) || ib >= seeds_b.len() {
-                ia += 1;
-                writer_a.import(&seeds_a[ia - 1..ia], 0xfeed)
-            } else {
-                ib += 1;
-                writer_b.import(&seeds_b[ib - 1..ib], 0xbeef)
-            };
-            prop_assert_eq!(stats.write_errors, 0);
-            accounted += stats.imported + stats.deduped;
-
-            // The pool is loadable mid-interleaving, never torn.
-            let (loaded, skips) = writer_a.load();
-            prop_assert_eq!(skips.total(), 0);
-            prop_assert_eq!(loaded.len(), accounted_distinct(&seeds_a[..ia], &seeds_b[..ib]));
-        }
-        prop_assert_eq!(accounted, seeds_a.len() + seeds_b.len());
-
-        // No update lost: the final pool is exactly the hash-union.
-        let (loaded, skips) = writer_b.load();
-        prop_assert_eq!(skips.total(), 0);
-        let expect: std::collections::BTreeSet<u64> = seeds_a
-            .iter()
-            .chain(seeds_b.iter())
-            .map(|s| s.hash)
-            .collect();
-        let got: std::collections::BTreeSet<u64> = loaded.iter().map(|s| s.hash).collect();
-        prop_assert_eq!(got, expect);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// Distinct hash count over the seeds imported so far.
-fn accounted_distinct(a: &[PersistedSeed], b: &[PersistedSeed]) -> usize {
-    a.iter()
-        .chain(b.iter())
-        .map(|s| s.hash)
-        .collect::<std::collections::BTreeSet<_>>()
-        .len()
-}
-
 #[test]
-fn exchange_truly_concurrent_writers_reach_the_union() {
-    // The threaded flavor of the property above: two OS threads racing
-    // seed-by-seed imports into one directory. Scheduling is real, the
-    // postcondition is the same — the union, with nothing torn.
-    let dir = exchange_dir("threads");
+fn store_truly_concurrent_writers_tear_nothing() {
+    // Two OS threads, each a campaign store of its own configuration,
+    // race seed-by-seed writes into one directory. Overlapping hashes
+    // land last-writer-wins; whatever the interleaving, every entry is
+    // whole and belongs to exactly one of the two writers.
+    let dir = store_dir("threads");
+    let cfg_a = FuzzerConfig::eof(OsKind::FreeRtos, 7);
+    let cfg_b = FuzzerConfig::eof(OsKind::FreeRtos, 8);
+    assert_ne!(config_fingerprint(&cfg_a), config_fingerprint(&cfg_b));
     let seeds: Vec<PersistedSeed> = (0..48).map(synthetic_seed).collect();
     // Overlapping halves: [0, 32) and [16, 48) share a middle third.
-    let a: Vec<PersistedSeed> = seeds[..32].to_vec();
-    let b: Vec<PersistedSeed> = seeds[16..].to_vec();
-    let dir_a = dir.clone();
-    let dir_b = dir.clone();
-    let ta = std::thread::spawn(move || {
-        let ex = Exchange::open(&dir_a).unwrap();
-        let mut errors = 0;
-        for s in &a {
-            errors += ex.import(std::slice::from_ref(s), 0xaaaa).write_errors;
-        }
-        errors
-    });
-    let tb = std::thread::spawn(move || {
-        let ex = Exchange::open(&dir_b).unwrap();
-        let mut errors = 0;
-        for s in &b {
-            errors += ex.import(std::slice::from_ref(s), 0xbbbb).write_errors;
-        }
-        errors
-    });
-    assert_eq!(ta.join().unwrap(), 0, "writer A hit write errors");
-    assert_eq!(tb.join().unwrap(), 0, "writer B hit write errors");
+    let writer = |config: FuzzerConfig, batch: Vec<PersistedSeed>| {
+        let dir = dir.clone();
+        std::thread::spawn(move || {
+            let mut store = CampaignStore::create(&dir, &config).unwrap();
+            for seed in &batch {
+                store.write_seed(seed);
+            }
+            store
+        })
+    };
+    let ta = writer(cfg_a, seeds[..32].to_vec());
+    let tb = writer(cfg_b, seeds[16..].to_vec());
+    let mut store_a = ta.join().unwrap();
+    let store_b = tb.join().unwrap();
+    assert_eq!(store_a.write_errors(), 0, "writer A hit write errors");
+    assert_eq!(store_b.write_errors(), 0, "writer B hit write errors");
 
-    let ex = Exchange::open(&dir).unwrap();
-    let (loaded, skips) = ex.load();
-    assert_eq!(skips.total(), 0, "a racing writer tore an entry");
-    let got: std::collections::BTreeSet<u64> = loaded.iter().map(|s| s.hash).collect();
-    let expect: std::collections::BTreeSet<u64> = seeds.iter().map(|s| s.hash).collect();
-    assert_eq!(got, expect, "concurrent import lost an update");
+    // Writer A finalizes, so the directory loads under A's config.
+    store_a.write_coverage(&[1, 2]);
+    store_a.write_manifest(0.1, 0, 0, 0, 0, 0);
+    let loaded = eof::core::persist::open(&dir).unwrap();
+    assert_eq!(loaded.skips.corrupt, 0, "a racing writer tore an entry");
+    assert_eq!(loaded.skips.foreign_schema, 0);
+    assert_eq!(
+        loaded.seeds.len() + loaded.skips.foreign_config,
+        seeds.len(),
+        "every seed file is A's or B's, none lost"
+    );
+    let got: std::collections::BTreeSet<u64> = loaded.seeds.iter().map(|s| s.hash).collect();
+    for seed in &seeds[..16] {
+        assert!(got.contains(&seed.hash), "A's unshared seed was lost");
+    }
+    for seed in &seeds[32..] {
+        assert!(!got.contains(&seed.hash), "B's seed loaded as A's");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
