@@ -11,7 +11,7 @@ use crate::crash::CrashReport;
 use crate::executor::Executor;
 use crate::fuzzer::{Fuzzer, FuzzerStats};
 use crate::gen::Generator;
-use crate::supervisor::{ResilienceStats, Rung};
+use crate::supervisor::ResilienceStats;
 use eof_agent::{agent_loader, api_table_of};
 use eof_coverage::Snapshot;
 use eof_dap::{DebugTransport, LinkConfig};
@@ -234,7 +234,7 @@ fn run_campaign_traced(
     // End-of-campaign save: confirm + minimize crashes on private fresh
     // targets, record the seed pool's fresh-boot baseline, write the
     // manifest last. The re-executions run with the campaign recorder
-    // suspended so they cannot drift the campaign's own counters; only
+    // suspended so they cannot add to the campaign's own telemetry; only
     // the save itself is spanned and counted.
     let persist_audit = fuzzer.take_store().map(|store| {
         let span = tel::span_start("persist.save", fuzzer.executor().now());
@@ -254,11 +254,12 @@ fn run_campaign_traced(
         tel::count("persist.crashes", audit.crashes_written as u64);
         audit
     });
-    let telemetry = guard.map(|g| {
-        let registry = g.finish();
-        assert_no_counter_drift(&registry, &stats, &resilience);
-        registry
-    });
+    // The stats structs hold the campaign's only count of each
+    // execution, restoration and recovery step; the recorder receives
+    // them once, here.
+    stats.emit_telemetry();
+    resilience.emit_telemetry();
+    let telemetry = guard.map(tel::RecorderGuard::finish);
 
     let result = CampaignResult {
         branches: fuzzer.executor().coverage().branches(),
@@ -274,73 +275,6 @@ fn run_campaign_traced(
         persist: persist_audit,
     };
     (result, fuzzer.executor().coverage().clone())
-}
-
-/// The two accounting paths — hand-maintained `FuzzerStats` /
-/// `ResilienceStats` and the telemetry counters mirrored at the same
-/// increment sites — must agree exactly at campaign end. A divergence
-/// means one path silently missed an event; fail loudly instead of
-/// publishing inconsistent numbers.
-fn assert_no_counter_drift(
-    registry: &tel::Registry,
-    stats: &FuzzerStats,
-    resilience: &ResilienceStats,
-) {
-    let checks: [(&str, u64); 15] = [
-        ("dap.txn.partial", resilience.txn_partial),
-        ("fuzz.execs", stats.execs),
-        ("fuzz.interesting", stats.interesting),
-        ("fuzz.crash_observations", stats.crash_observations),
-        ("fuzz.stalls", stats.stalls),
-        ("fuzz.restorations", stats.restorations),
-        ("fuzz.failed_syncs", stats.failed_syncs),
-        ("recovery.episodes", resilience.episodes),
-        ("recovery.backoff_cycles", resilience.backoff_cycles),
-        (
-            "recovery.manual_interventions",
-            resilience.manual_interventions,
-        ),
-        ("exec.failed_syncs", resilience.failed_syncs),
-        ("dap.retry.attempts", resilience.link.attempts),
-        ("dap.retry.retries", resilience.link.retries),
-        ("dap.retry.recovered", resilience.link.recovered),
-        ("dap.retry.exhausted", resilience.link.exhausted),
-    ];
-    for (name, expected) in checks {
-        assert_eq!(
-            registry.counter(name),
-            expected,
-            "telemetry counter {name:?} drifted from the stats structs"
-        );
-    }
-    for rung in Rung::ALL {
-        assert_eq!(
-            registry.counter(rung.attempts_counter()),
-            resilience.rung_attempts[rung.index()],
-            "rung {} attempt accounting drifted",
-            rung.name()
-        );
-        assert_eq!(
-            registry.counter(rung.successes_counter()),
-            resilience.rung_successes[rung.index()],
-            "rung {} success accounting drifted",
-            rung.name()
-        );
-    }
-    for op in crate::cmplog::MutOp::ALL {
-        assert_eq!(
-            registry.counter(op.execs_counter()),
-            stats.op_execs[op.index()],
-            "operator {} exec accounting drifted",
-            op.name()
-        );
-        assert_eq!(
-            registry.counter(op.interesting_counter()),
-            stats.op_interesting[op.index()],
-            "operator {} interesting accounting drifted",
-            op.name()
-        );
-    }
 }
 
 #[cfg(test)]
@@ -403,8 +337,7 @@ mod tests {
     fn recorded_campaigns_are_deterministic_and_drift_free() {
         // `run_campaign_recorded` exercises the whole telemetry path:
         // recorder install, span/counter capture across every layer, and
-        // the end-of-campaign counter-drift assertion (which runs inside
-        // the call — reaching this point means it held).
+        // the end-of-campaign hand-over of the stats structs' counts.
         let a = run_campaign_recorded(short(OsKind::FreeRtos, 11, 0.02));
         let b = run_campaign_recorded(short(OsKind::FreeRtos, 11, 0.02));
         let ta = a
@@ -437,10 +370,8 @@ mod tests {
     #[test]
     fn cmplog_campaigns_run_and_account_per_operator() {
         // A cmplog campaign exercises the full Redqueen pipeline: the
-        // armed ring drains into the journal, the scheduler attributes
-        // every scheduled mutant to an operator, and the drift gate
-        // (inside `run_campaign_recorded`) proves the `fuzz.op.*`
-        // telemetry mirrors `FuzzerStats` exactly.
+        // armed ring drains into the journal and the scheduler
+        // attributes every scheduled mutant to an operator.
         let mut c = FuzzerConfig::eof_cmplog(OsKind::FreeRtos, 7);
         c.budget_hours = 0.02;
         c.snapshot_hours = 0.005;
@@ -455,6 +386,71 @@ mod tests {
             tel.counter("exec.cmp_records") > 0,
             "armed ring never produced a comparison record"
         );
+    }
+
+    #[test]
+    fn recorded_counters_are_the_stats_structs() {
+        // A cmplog campaign under a fault schedule that fires link
+        // retries and several ladder rungs: every counter the stats
+        // structs own reaches telemetry with the struct's value, a zero
+        // count leaves no key, and no other counter of those families
+        // is recorded anywhere else.
+        use crate::chaos::chaos_plan;
+        use crate::cmplog::MutOp;
+        use crate::supervisor::Rung;
+        use eof_hal::clock::CYCLES_PER_SEC;
+        let mut c = FuzzerConfig::eof_cmplog(OsKind::FreeRtos, 7);
+        c.budget_hours = 0.05;
+        c.snapshot_hours = 0.0125;
+        let horizon = (c.budget_hours * 3600.0 * CYCLES_PER_SEC as f64) as u64;
+        let (plan, _) = chaos_plan(11, 40, horizon, c.board.flash_size);
+        let r = run_campaign_recorded_with_faults(c, plan);
+        let (s, res) = (&r.stats, &r.resilience);
+        assert!(res.link.retries > 0, "{res:?}");
+        let rungs_tried = res.rung_attempts.iter().filter(|&&n| n > 0).count();
+        assert!(rungs_tried >= 3, "{res:?}");
+        assert!(s.op_execs.iter().sum::<u64>() > 0, "{s:?}");
+
+        let mut owned = vec![
+            ("fuzz.execs", s.execs),
+            ("fuzz.interesting", s.interesting),
+            ("fuzz.crash_observations", s.crash_observations),
+            ("fuzz.stalls", s.stalls),
+            ("fuzz.restorations", s.restorations),
+            ("fuzz.failed_syncs", s.failed_syncs),
+            ("recovery.episodes", res.episodes),
+            ("recovery.backoff_cycles", res.backoff_cycles),
+            ("recovery.manual_interventions", res.manual_interventions),
+            ("exec.failed_syncs", res.failed_syncs),
+            ("dap.txn.partial", res.txn_partial),
+            ("dap.retry.attempts", res.link.attempts),
+            ("dap.retry.retries", res.link.retries),
+            ("dap.retry.recovered", res.link.recovered),
+            ("dap.retry.exhausted", res.link.exhausted),
+            ("dap.retry.backoff_cycles", res.link.backoff_cycles),
+        ];
+        for rung in Rung::ALL {
+            owned.push((rung.attempts_counter(), res.rung_attempts[rung.index()]));
+            owned.push((rung.successes_counter(), res.rung_successes[rung.index()]));
+        }
+        for op in MutOp::ALL {
+            owned.push((op.execs_counter(), s.op_execs[op.index()]));
+            owned.push((op.interesting_counter(), s.op_interesting[op.index()]));
+        }
+        assert!(owned.iter().any(|&(_, n)| n == 0), "no zero field to check");
+        let tel = r.telemetry.as_ref().expect("recorded");
+        for &(name, n) in &owned {
+            let want = (n > 0).then_some(n);
+            assert_eq!(tel.counters.get(name).copied(), want, "{name}");
+        }
+        for name in tel.counters.keys() {
+            if ["fuzz.", "recovery.", "dap.retry."]
+                .iter()
+                .any(|family| name.starts_with(family))
+            {
+                assert!(owned.iter().any(|(n, _)| n == name), "stray {name}");
+            }
+        }
     }
 
     #[test]

@@ -386,9 +386,8 @@ mod tests {
         // as the transaction-tear test, but with cmplog armed in both
         // wire modes: a fault inside the cmp drain must either deliver
         // the records whole or discard them with the discard counted —
-        // never tear a transaction or wedge the campaign. Running the
-        // campaigns recorded also re-checks the `fuzz.op.*` counter-drift
-        // gate under every fault kind.
+        // never tear a transaction or wedge the campaign. The campaigns
+        // run recorded so the delivered records can be counted.
         use crate::campaign::run_campaign_recorded_with_faults;
         use eof_hal::FaultPlan;
         let flash_size = FuzzerConfig::eof(OsKind::FreeRtos, 11).board.flash_size;

@@ -193,7 +193,6 @@ pub struct Executor {
     restorations: u64,
     stall_events: u64,
     failed_syncs: u64,
-    cmp_discards: u64,
     cov_discards: u64,
 }
 
@@ -284,7 +283,6 @@ impl Executor {
             restorations: 0,
             stall_events: 0,
             failed_syncs: 0,
-            cmp_discards: 0,
             cov_discards: 0,
         };
         exec.sync_to_main();
@@ -314,18 +312,6 @@ impl Executor {
     /// Stall/timeout events handled.
     pub fn stall_events(&self) -> u64 {
         self.stall_events
-    }
-
-    /// Syncs that failed even after a full recovery episode.
-    pub fn failed_syncs(&self) -> u64 {
-        self.failed_syncs
-    }
-
-    /// Cmp-ring drains discarded because the transaction never applied
-    /// (counted, never silently swallowed — the arming header written
-    /// with the next upload guarantees the ring restarts empty).
-    pub fn cmp_discards(&self) -> u64 {
-        self.cmp_discards
     }
 
     /// Coverage drains discarded whole because the transaction could
@@ -413,7 +399,6 @@ impl Executor {
         self.recover(RecoveryReason::ConnectionLoss);
         if !self.at_main {
             self.failed_syncs += 1;
-            tel::count("exec.failed_syncs", 1);
         }
     }
 
@@ -591,7 +576,6 @@ impl Executor {
     /// and dropped — never a half-parsed journal entry; the next exec's
     /// arming header restarts the ring empty regardless.
     fn discard_cmp_drain(&mut self) -> Vec<CmpRecord> {
-        self.cmp_discards += 1;
         tel::count("exec.cmp_discarded", 1);
         Vec::new()
     }

@@ -19,7 +19,9 @@ use eof_telemetry as tel;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Aggregate counters of one campaign.
+/// Aggregate counters of one campaign — the only count of each; a
+/// recorded campaign hands them to telemetry once, at its end
+/// ([`FuzzerStats::emit_telemetry`]).
 #[derive(Debug, Clone, Default)]
 pub struct FuzzerStats {
     /// Test cases executed.
@@ -40,6 +42,32 @@ pub struct FuzzerStats {
     pub op_execs: [u64; MutOp::COUNT],
     /// Per-operator interesting hits, indexed by [`MutOp::index`].
     pub op_interesting: [u64; MutOp::COUNT],
+}
+
+impl FuzzerStats {
+    /// Add every nonzero count to the installed telemetry recorder as
+    /// the `fuzz.*` counters (a zero count leaves no key).
+    pub fn emit_telemetry(&self) {
+        let totals = [
+            ("fuzz.execs", self.execs),
+            ("fuzz.interesting", self.interesting),
+            ("fuzz.crash_observations", self.crash_observations),
+            ("fuzz.stalls", self.stalls),
+            ("fuzz.restorations", self.restorations),
+            ("fuzz.failed_syncs", self.failed_syncs),
+        ];
+        let per_op = MutOp::ALL.into_iter().flat_map(|op| {
+            [
+                (op.execs_counter(), self.op_execs[op.index()]),
+                (op.interesting_counter(), self.op_interesting[op.index()]),
+            ]
+        });
+        for (name, n) in totals.into_iter().chain(per_op) {
+            if n > 0 {
+                tel::count(name, n);
+            }
+        }
+    }
 }
 
 /// The EOF fuzzing loop.
@@ -224,29 +252,13 @@ impl Fuzzer {
             }
         }
         let outcome = self.executor.run_one(&prog);
-        // Every `FuzzerStats` increment is mirrored onto a telemetry
-        // counter at the same site; the campaign asserts the two
-        // accounting paths agree at the end (drift between them would
-        // mean one path silently missed an event).
         self.stats.execs += 1;
-        tel::count("fuzz.execs", 1);
-        if outcome.stalled {
-            self.stats.stalls += 1;
-            tel::count("fuzz.stalls", 1);
-        }
-        if outcome.restored {
-            self.stats.restorations += 1;
-            tel::count("fuzz.restorations", 1);
-        }
-        if outcome.sync_failed {
-            self.stats.failed_syncs += 1;
-            tel::count("fuzz.failed_syncs", 1);
-        }
-        let crashed = outcome.crash.is_some();
+        self.stats.stalls += u64::from(outcome.stalled);
+        self.stats.restorations += u64::from(outcome.restored);
+        self.stats.failed_syncs += u64::from(outcome.sync_failed);
         let mut new_crash_class = false;
         if let Some(report) = outcome.crash {
             self.stats.crash_observations += 1;
-            tel::count("fuzz.crash_observations", 1);
             if !self.crashes.contains(&report) {
                 // First sighting of this class: persist the raw
                 // reproducer immediately (finalize later upgrades it to
@@ -258,10 +270,7 @@ impl Fuzzer {
             }
             new_crash_class = self.crashes.record(report);
         }
-        if outcome.new_edges > 0 {
-            self.stats.interesting += 1;
-            tel::count("fuzz.interesting", 1);
-        }
+        self.stats.interesting += u64::from(outcome.new_edges > 0);
         // Feedback: coverage always admits; crash signals admit only
         // under EOF's unified feedback. Inputs that *hang* the target are
         // quarantined (recorded but never mutated) — re-running them costs
@@ -271,25 +280,18 @@ impl Fuzzer {
         // A crash is only *interesting* the first time its class is seen
         // — re-admitting every duplicate crash floods the corpus with
         // prog-truncating inputs and starves breadth.
-        let _ = crashed;
         let hangs_target = outcome.stalled;
         let interesting = !hangs_target
             && ((self.config.coverage_feedback && outcome.new_edges > 0)
                 || (self.config.crash_feedback && new_crash_class));
         if let Some((journal, scheduler)) = self.cmplog.as_mut() {
             // Feed the drained operand pairs into the journal and close
-            // the scheduling loop: every `FuzzerStats` per-operator
-            // increment is mirrored onto its telemetry counter at the
-            // same site (the campaign asserts the two paths agree).
+            // the scheduling loop.
             journal.absorb(&outcome.cmp_records);
             if let Some(op) = op {
                 scheduler.record(op, interesting);
                 self.stats.op_execs[op.index()] += 1;
-                tel::count(op.execs_counter(), 1);
-                if interesting {
-                    self.stats.op_interesting[op.index()] += 1;
-                    tel::count(op.interesting_counter(), 1);
-                }
+                self.stats.op_interesting[op.index()] += u64::from(interesting);
             }
         }
         if interesting {

@@ -121,10 +121,15 @@ pub(crate) fn unhex(s: &str) -> Result<Vec<u8>, String> {
     if !s.len().is_multiple_of(2) {
         return Err("odd-length hex".to_string());
     }
-    (0..s.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&s[2 * i..2 * i + 2], 16).map_err(|e| format!("bad hex: {e:?}"))
-        })
+    // Byte-wise: slicing the `str` could split a multi-byte character.
+    let nibble = |b: u8| {
+        (b as char)
+            .to_digit(16)
+            .ok_or_else(|| format!("bad hex byte {b:#04x}"))
+    };
+    s.as_bytes()
+        .chunks(2)
+        .map(|pair| Ok((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
         .collect()
 }
 
@@ -236,9 +241,15 @@ impl Record {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let (k, v) = line
-                .split_once(" = ")
-                .ok_or_else(|| format!("not a record line: {line:?}"))?;
+            let (k, v) = match line.split_once(" = ") {
+                Some(kv) => kv,
+                // Trimming dropped the space after an empty value's `=`.
+                None => (
+                    line.strip_suffix(" =")
+                        .ok_or_else(|| format!("not a record line: {line:?}"))?,
+                    "",
+                ),
+            };
             map.insert(k.to_string(), v.to_string());
         }
         if map.is_empty() {
@@ -656,7 +667,6 @@ pub struct CampaignStore {
     mmio: bool,
     cmplog: bool,
     coverage: CoverageKind,
-    crash_writes: usize,
     write_errors: usize,
 }
 
@@ -685,7 +695,6 @@ impl CampaignStore {
             mmio: config.mmio,
             cmplog: config.cmplog,
             coverage: config.coverage_backend,
-            crash_writes: 0,
             write_errors: 0,
         })
     }
@@ -698,11 +707,6 @@ impl CampaignStore {
     /// This store's configuration fingerprint.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Crash records written so far (incremental + finalize rewrites).
-    pub fn crash_writes(&self) -> usize {
-        self.crash_writes
     }
 
     /// Write failures absorbed so far.
@@ -724,7 +728,6 @@ impl CampaignStore {
             .join(format!("{:016x}.crash", crash.key_hash));
         let text = crash.render(self.fingerprint);
         self.write_counted(&path, &text);
-        self.crash_writes += 1;
     }
 
     /// Persist one corpus seed.
@@ -1070,6 +1073,33 @@ mod tests {
         assert_eq!(loaded.coverage_edges, vec![4, 7, 9]);
         assert_eq!(loaded.skips, SkipStats::default());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn empty_values_round_trip() {
+        // An empty edge set renders `edges = ` and an empty backtrace
+        // `backtrace_hex = `; both must load, not count as corrupt.
+        let dir = tmpdir("empty");
+        let mut store = CampaignStore::create(&dir, &config()).unwrap();
+        let mut crash = crash_entry("no frames");
+        crash.backtrace.clear();
+        store.record_crash(&crash);
+        store.write_coverage(&[]);
+        store.write_manifest(0.5, 1, 1, 0, 0, 0);
+        let loaded = open(&dir).unwrap();
+        assert_eq!(loaded.skips, SkipStats::default());
+        assert_eq!(loaded.crashes, vec![crash]);
+        assert!(loaded.coverage_edges.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unhex_rejects_what_hex_never_writes() {
+        assert_eq!(unhex("0aFf"), Ok(vec![0x0a, 0xff]));
+        // Multi-byte characters must not split a byte pair mid-char.
+        for bad in ["\u{fffd}a", "a\u{e9}b", "+f", "0g", "abc"] {
+            assert!(unhex(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

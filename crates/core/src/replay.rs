@@ -360,6 +360,7 @@ pub fn replay_loaded(loaded: &LoadedStore, config: &FuzzerConfig) -> ReplayRepor
         };
         tel::span_end(span, ex.now());
         tel::count("replay.cases", 1);
+        ex.resilience().emit_telemetry();
         report.cases.push(ReplayCase {
             kind: "crash",
             id: format!("{:016x}", crash.key_hash),
@@ -390,6 +391,7 @@ pub fn replay_loaded(loaded: &LoadedStore, config: &FuzzerConfig) -> ReplayRepor
     }
     let branches = ex.coverage().branches();
     tel::span_end(span, ex.now());
+    ex.resilience().emit_telemetry();
     let pass = branches == loaded.manifest.replay_branches;
     report.cases.push(ReplayCase {
         kind: "coverage",
@@ -563,8 +565,12 @@ mod tests {
         assert_eq!(loaded.manifest.branches, result.branches);
         assert_eq!(loaded.manifest.execs, result.stats.execs);
 
-        // The gate: everything the store holds reproduces.
+        // The gate: everything the store holds reproduces. Recorded, the
+        // fresh executors' link accounting reaches telemetry.
+        let recorder = tel::begin();
         let report = replay_loaded(&loaded, &config);
+        let registry = recorder.finish();
+        assert!(registry.counter("dap.retry.attempts") > 0);
         assert!(
             report.all_passed(),
             "replay failures: {:?}",

@@ -211,6 +211,33 @@ impl ResilienceStats {
         self.recovery_cycles as f64 / self.episodes as f64 / CYCLES_PER_SEC as f64
     }
 
+    /// Add every nonzero count to the installed telemetry recorder: the
+    /// `recovery.*` ladder counters, `exec.failed_syncs`,
+    /// `dap.txn.partial` and the `dap.retry.*` link counters. A zero
+    /// count leaves no key. The cycle totals are not counters; each
+    /// episode records its own `recovery.episode_cycles` sample.
+    pub fn emit_telemetry(&self) {
+        let totals = [
+            ("recovery.episodes", self.episodes),
+            ("recovery.backoff_cycles", self.backoff_cycles),
+            ("recovery.manual_interventions", self.manual_interventions),
+            ("exec.failed_syncs", self.failed_syncs),
+            ("dap.txn.partial", self.txn_partial),
+        ];
+        let per_rung = Rung::ALL.into_iter().flat_map(|rung| {
+            [
+                (rung.attempts_counter(), self.rung_attempts[rung.index()]),
+                (rung.successes_counter(), self.rung_successes[rung.index()]),
+            ]
+        });
+        for (name, n) in totals.into_iter().chain(per_rung) {
+            if n > 0 {
+                tel::count(name, n);
+            }
+        }
+        self.link.emit_telemetry();
+    }
+
     /// Fold another campaign's counters into this one.
     pub fn absorb(&mut self, other: &ResilienceStats) {
         self.episodes += other.episodes;
@@ -322,7 +349,6 @@ impl RecoverySupervisor {
     ) -> RecoveryOutcome {
         let start = pipe.now();
         self.stats.episodes += 1;
-        tel::count("recovery.episodes", 1);
         let episode_span = tel::span_start("recovery.episode", start);
         // Whether a verified restore COMPLETED this episode: the flash
         // port answered, the image was verified (and repaired if need
@@ -360,11 +386,9 @@ impl RecoverySupervisor {
                 if attempt > 0 && backoff > 0 {
                     pipe.sleep(backoff);
                     self.stats.backoff_cycles += backoff;
-                    tel::count("recovery.backoff_cycles", backoff);
                     backoff = backoff.saturating_mul(2).min(MAX_RUNG_BACKOFF);
                 }
                 self.stats.rung_attempts[spec.rung.index()] += 1;
-                tel::count(spec.rung.attempts_counter(), 1);
                 let applied = Self::perform(spec, pipe, restoration);
                 if spec.rung == Rung::VerifyReflash && applied {
                     flash_answered = true;
@@ -372,7 +396,6 @@ impl RecoverySupervisor {
                 let ok = verify(pipe);
                 if ok {
                     self.stats.rung_successes[spec.rung.index()] += 1;
-                    tel::count(spec.rung.successes_counter(), 1);
                     let cycles = pipe.now() - start;
                     self.finish_episode(cycles);
                     tel::span_end(episode_span, pipe.now());
@@ -390,7 +413,6 @@ impl RecoverySupervisor {
         // Ladder exhausted: a human walks over, power-cycles the board
         // and reflashes it with a bench programmer.
         self.stats.manual_interventions += 1;
-        tel::count("recovery.manual_interventions", 1);
         tel::event("recovery.manual_intervention", pipe.now(), String::new);
         pipe.sleep(secs_to_cycles(MANUAL_INTERVENTION_SECS));
         pipe.power_cycle(secs_to_cycles(1));

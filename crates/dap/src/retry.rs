@@ -62,29 +62,24 @@ impl RetryPolicy {
         loop {
             attempt += 1;
             stats.attempts += 1;
-            tel::count("dap.retry.attempts", 1);
             match op(pipe) {
                 Ok(v) => {
                     if attempt > 1 {
                         stats.recovered += 1;
-                        tel::count("dap.retry.recovered", 1);
                     }
                     return Ok(v);
                 }
                 Err(e) if e.is_connection_loss() && attempt < self.max_attempts.max(1) => {
                     stats.retries += 1;
-                    tel::count("dap.retry.retries", 1);
                     if backoff > 0 {
                         pipe.sleep(backoff);
                         stats.backoff_cycles += backoff;
-                        tel::count("dap.retry.backoff_cycles", backoff);
                     }
                     backoff = (backoff.saturating_mul(2)).min(self.max_backoff).max(1);
                 }
                 Err(e) => {
                     if e.is_connection_loss() {
                         stats.exhausted += 1;
-                        tel::count("dap.retry.exhausted", 1);
                         tel::event("dap.retry.exhausted", pipe.now(), || {
                             format!("attempts={attempt} error={e:?}")
                         });
@@ -150,6 +145,22 @@ pub struct RetryStats {
 }
 
 impl RetryStats {
+    /// Add every nonzero count to the installed telemetry recorder as
+    /// the `dap.retry.*` counters (a zero count leaves no key).
+    pub fn emit_telemetry(&self) {
+        for (name, n) in [
+            ("dap.retry.attempts", self.attempts),
+            ("dap.retry.retries", self.retries),
+            ("dap.retry.recovered", self.recovered),
+            ("dap.retry.exhausted", self.exhausted),
+            ("dap.retry.backoff_cycles", self.backoff_cycles),
+        ] {
+            if n > 0 {
+                tel::count(name, n);
+            }
+        }
+    }
+
     /// Fold another counter set into this one (per-op stats → campaign).
     pub fn absorb(&mut self, other: &RetryStats) {
         self.attempts += other.attempts;

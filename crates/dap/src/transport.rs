@@ -429,7 +429,6 @@ impl DebugTransport {
                     // loudly if it ever is not.
                     if !results.is_empty() {
                         self.txn_partials += 1;
-                        tel::count("dap.txn.partial", 1);
                     }
                     return Err(e);
                 }

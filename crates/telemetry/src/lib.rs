@@ -129,9 +129,9 @@ impl Drop for RecorderGuard {
 /// Run `f` with any installed recorder temporarily uninstalled, then
 /// restore it. Auxiliary work that re-executes instrumented layers —
 /// replaying a persisted reproducer, minimizing a crash on a fresh
-/// executor — would otherwise pollute the campaign's counters and break
-/// its drift invariants; wrapping such work in `suspended` keeps the
-/// campaign registry describing only the campaign. The recorder is
+/// executor — would otherwise pollute the campaign's counters;
+/// wrapping such work in `suspended` keeps the campaign registry
+/// describing only the campaign. The recorder is
 /// restored even if `f` panics.
 pub fn suspended<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Registry>);

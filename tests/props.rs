@@ -279,3 +279,263 @@ fn store_truly_concurrent_writers_tear_nothing() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// Store and telemetry decoders
+// ---------------------------------------------------------------------------
+//
+// Store files and worker telemetry summaries are read back from disk,
+// where a crash, a torn write or a foreign process can leave any bytes.
+// Their decoders must reject what they cannot read, never panic, and
+// read back exactly what their encoders wrote.
+
+use eof::core::persist::{open, scan_crashes};
+use eof::core::{DetectionSource, PersistedCrash};
+use eof_telemetry::{Histogram, OpStats, SpanAgg, TelemetrySummary};
+
+fn arb_crash() -> impl Strategy<Value = PersistedCrash> {
+    (
+        (
+            "[ -~]{0,24}",
+            0usize..5,
+            "[ -~]{0,32}",
+            proptest::collection::vec("[a-z0-9_]{1,12}", 0..4),
+        ),
+        (0usize..4, any::<u8>(), any::<bool>(), 0u32..1_000_000),
+        (
+            arb_prog(),
+            proptest::collection::vec(any::<u8>(), 0..8),
+            any::<bool>(),
+            any::<bool>(),
+        ),
+    )
+        .prop_map(
+            |((key, os, message, backtrace), (source, bug, triaged, milli), (prog, mmio, c, m))| {
+                PersistedCrash {
+                    key_hash: eof::core::persist::fnv64(key.as_bytes()),
+                    key,
+                    os: OsKind::ALL[os],
+                    message,
+                    backtrace,
+                    source: [
+                        DetectionSource::ExceptionMonitor,
+                        DetectionSource::LogMonitor,
+                        DetectionSource::Timeout,
+                        DetectionSource::StallWatchdog,
+                    ][source],
+                    bug_number: triaged.then_some(bug),
+                    at_hours: f64::from(milli) / 1000.0,
+                    prog: Prog { mmio, ..prog },
+                    confirmed: c,
+                    minimized: m,
+                }
+            },
+        )
+}
+
+fn arb_seed() -> impl Strategy<Value = PersistedSeed> {
+    (
+        arb_prog(),
+        any::<u64>(),
+        0usize..4096,
+        any::<bool>(),
+        0usize..4096,
+    )
+        .prop_map(
+            |(prog, ordinal, new_edges, crashed, replay_edges)| PersistedSeed {
+                hash: prog.stable_hash(),
+                ordinal,
+                new_edges,
+                crashed,
+                replay_edges,
+                prog,
+            },
+        )
+}
+
+/// A store holding one seed, one crash and `edges`, finalized.
+fn write_store(
+    tag: &str,
+    seed: &PersistedSeed,
+    crash: &PersistedCrash,
+    edges: &[u64],
+) -> (PathBuf, u64) {
+    let dir = store_dir(tag);
+    let config = FuzzerConfig::eof(OsKind::Zephyr, 3);
+    let mut store = CampaignStore::create(&dir, &config).unwrap();
+    store.write_seed(seed);
+    store.record_crash(crash);
+    store.write_coverage(edges);
+    store.write_manifest(0.5, edges.len(), edges.len(), 1, 1, 99);
+    (dir, config_fingerprint(&config))
+}
+
+/// Every file a finalized store holds, manifest first.
+fn store_files(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut files = vec![dir.join("manifest.eof"), dir.join("coverage")];
+    for sub in ["corpus", "crashes"] {
+        let mut entries: Vec<PathBuf> = std::fs::read_dir(dir.join(sub))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        entries.sort();
+        files.extend(entries);
+    }
+    files
+}
+
+/// `base` damaged by `how`: replaced whole, spliced, truncated, or one
+/// line's value swapped for `junk`.
+fn damage(base: &str, how: u8, at: usize, junk: &[u8]) -> Vec<u8> {
+    let bytes = base.as_bytes();
+    let at = at % (bytes.len() + 1);
+    match how % 4 {
+        0 => junk.to_vec(),
+        1 => [&bytes[..at], junk, &bytes[at..]].concat(),
+        2 => bytes[..at].to_vec(),
+        _ => {
+            let lines: Vec<&str> = base.lines().collect();
+            let victim = at % lines.len().max(1);
+            let junk = String::from_utf8_lossy(junk);
+            let mut out = String::new();
+            for (i, line) in lines.iter().enumerate() {
+                match line.split_once(" = ") {
+                    Some((k, _)) if i == victim => out.push_str(&format!("{k} = {junk}\n")),
+                    _ => out.push_str(&format!("{line}\n")),
+                }
+            }
+            out.into_bytes()
+        }
+    }
+}
+
+fn arb_hist() -> impl Strategy<Value = Histogram> {
+    (
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+        proptest::collection::vec((0usize..65, any::<u64>()), 0..6),
+    )
+        .prop_map(|((count, sum, max), buckets)| {
+            let mut h = Histogram {
+                count,
+                sum,
+                max,
+                ..Histogram::default()
+            };
+            for (i, n) in buckets {
+                h.buckets[i] = n;
+            }
+            h
+        })
+}
+
+fn key(name: String) -> &'static str {
+    Box::leak(name.into_boxed_str())
+}
+
+fn arb_summary() -> impl Strategy<Value = TelemetrySummary> {
+    (
+        (0usize..64, any::<u64>(), any::<u64>()),
+        proptest::collection::btree_map("[a-z_.]{1,16}", any::<u64>(), 0..6),
+        proptest::collection::btree_map("[a-z_.]{1,16}", arb_hist(), 0..3),
+        proptest::collection::btree_map(
+            "[a-z_.]{1,16}",
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            0..4,
+        ),
+        proptest::collection::btree_map(
+            "[a-z_.]{1,16}",
+            (any::<u64>(), any::<u64>(), arb_hist()),
+            0..3,
+        ),
+    )
+        .prop_map(
+            |((parts, spans_dropped, events_dropped), c, h, s, o)| TelemetrySummary {
+                parts,
+                counters: c.into_iter().map(|(k, v)| (key(k), v)).collect(),
+                hists: h.into_iter().map(|(k, v)| (key(k), v)).collect(),
+                spans: s
+                    .into_iter()
+                    .map(|(k, (count, total_cycles, max_cycles))| {
+                        let agg = SpanAgg {
+                            count,
+                            total_cycles,
+                            max_cycles,
+                        };
+                        (key(k), agg)
+                    })
+                    .collect(),
+                ops: o
+                    .into_iter()
+                    .map(|(k, (count, errors, cycles))| {
+                        let op = OpStats {
+                            count,
+                            errors,
+                            cycles,
+                        };
+                        (key(k), op)
+                    })
+                    .collect(),
+                spans_dropped,
+                events_dropped,
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn store_entries_round_trip(
+        seed in arb_seed(),
+        crash in arb_crash(),
+        edges in proptest::collection::vec(any::<u64>(), 0..8),
+    ) {
+        let (dir, fingerprint) = write_store("roundtrip", &seed, &crash, &edges);
+        let loaded = open(&dir).unwrap();
+        let mut sorted = edges.clone();
+        sorted.sort_unstable();
+        let (scanned, scan_skips) = scan_crashes(&dir, fingerprint);
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(loaded.skips, eof::core::SkipStats::default());
+        prop_assert_eq!(loaded.seeds, vec![seed]);
+        prop_assert_eq!(&loaded.crashes, &vec![crash]);
+        prop_assert_eq!(loaded.coverage_edges, sorted);
+        prop_assert_eq!(loaded.manifest.execs, 99);
+        prop_assert_eq!(scanned, loaded.crashes);
+        prop_assert_eq!(scan_skips, eof::core::SkipStats::default());
+    }
+
+    #[test]
+    fn store_decoders_never_panic_on_damaged_files(
+        seed in arb_seed(),
+        crash in arb_crash(),
+        target in (0usize..4, any::<u8>(), any::<usize>()),
+        junk in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let (which, how, at) = target;
+        let (dir, fingerprint) = write_store("damaged", &seed, &crash, &[5, 1]);
+        let file = store_files(&dir)[which].clone();
+        let base = std::fs::read_to_string(&file).unwrap();
+        std::fs::write(&file, damage(&base, how, at, &junk)).unwrap();
+        let _ = open(&dir);
+        let _ = scan_crashes(&dir, fingerprint);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn telemetry_summaries_round_trip(summary in arb_summary()) {
+        let text = summary.to_json();
+        prop_assert_eq!(TelemetrySummary::from_json(&text).unwrap(), summary);
+    }
+
+    #[test]
+    fn telemetry_decoder_never_panics(
+        summary in arb_summary(),
+        how in any::<u8>(),
+        at in any::<usize>(),
+        junk in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let text = String::from_utf8_lossy(&damage(&summary.to_json(), how, at, &junk)).into_owned();
+        let _ = TelemetrySummary::from_json(&text);
+    }
+}
